@@ -19,15 +19,8 @@ from pathlib import Path
 import numpy as np
 
 import recovery_rollout
-from recovery_rollout.hazard import sample_initial_damage
 from recovery_rollout.mdp import Objective
-from recovery_rollout.planner import (
-    TAG_DAMAGE,
-    PolicyKind,
-    RolloutMode,
-    keyed_seed,
-    run_episode,
-)
+from recovery_rollout.planner import PolicyKind, RolloutMode, run_episodes
 from recovery_rollout.scenario import load_scenario
 
 DEFAULT_SCENARIO = str(
@@ -44,22 +37,19 @@ CASES = (
 
 def paired_diffs(scenario, mdp, rollout_cfg, episodes, seed):
     """Improvement per episode, signed so that positive favors rollout."""
-    minimize = mdp.objective is Objective.MIN_TIME_TO_COVERAGE
-    diffs = []
-    for ep in range(episodes):
-        damage_rng = np.random.default_rng(keyed_seed(seed, TAG_DAMAGE, ep))
-        damage = sample_initial_damage(
-            scenario.community, scenario.hazards, damage_rng
-        )
-        metric = {}
-        for policy in (PolicyKind.BASE, PolicyKind.ROLLOUT):
-            metric[policy] = run_episode(
-                policy, damage, scenario.community, mdp, rollout_cfg,
-                scenario.base_policy, root_seed=seed, episode_index=ep,
-            ).metric(mdp.objective)
-        base, roll = metric[PolicyKind.BASE], metric[PolicyKind.ROLLOUT]
-        diffs.append(base - roll if minimize else roll - base)
-    return np.asarray(diffs)
+    base, roll = (
+        [
+            res.metric(mdp.objective)
+            for res in run_episodes(
+                policy, scenario.community, scenario.hazards, mdp, rollout_cfg,
+                scenario.base_policy, episodes, seed,
+            )
+        ]
+        for policy in (PolicyKind.BASE, PolicyKind.ROLLOUT)
+    )
+    if mdp.objective is Objective.MIN_TIME_TO_COVERAGE:
+        return np.subtract(base, roll)
+    return np.subtract(roll, base)
 
 
 def main(argv=None) -> int:

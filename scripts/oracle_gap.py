@@ -19,7 +19,12 @@ import numpy as np
 import recovery_rollout
 from recovery_rollout.community import DamageState
 from recovery_rollout.mdp import initial_state, is_terminal
-from recovery_rollout.planner import PolicyKind, exhaustive_oracle, run_episode
+from recovery_rollout.planner import (
+    PolicyKind,
+    exhaustive_oracle,
+    oracle_gap,
+    run_episode,
+)
 from recovery_rollout.scenario import load_scenario
 
 DEFAULT_SCENARIO = str(
@@ -65,8 +70,7 @@ def main(argv=None) -> int:
             scenario.base_policy, root_seed=args.seed * 100_000 + i,
         )
         achieved = result.metric(mdp.objective)
-        gap = (achieved - optimum) / optimum if optimum > 0 else 0.0
-        gaps.append(gap)
+        gaps.append(oracle_gap(achieved, optimum, mdp.objective))
         exact += abs(achieved - optimum) <= 1e-9
 
     gaps = np.asarray(gaps)

@@ -6,16 +6,12 @@ from .community import (
     Component,
     ComponentClass,
     DamageState,
-    DependencyGraph,
     GridCell,
     Network,
     Retailer,
-    ServiceStatus,
-    benefit_count,
     build_community,
     functional_set,
     gravity_weights,
-    service_status,
 )
 from .hazard import (
     ComponentHazard,
@@ -37,7 +33,6 @@ from .mdp import (
     enumerate_actions,
     initial_state,
     is_terminal,
-    step,
 )
 from .planner import (
     DecisionRecord,
@@ -50,10 +45,10 @@ from .planner import (
     RolloutMode,
     base_action,
     estimate_q,
-    evaluate_policy,
     exhaustive_oracle,
     rollout_decision,
     run_episode,
+    run_episodes,
 )
 from .scenario import Scenario, load_scenario
 

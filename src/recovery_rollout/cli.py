@@ -17,18 +17,18 @@ import numpy as np
 
 from .community import DamageState
 from .errors import RecoveryError, ValidationError
-from .hazard import sample_initial_damage
 from .mdp import MdpConfig, Objective, RepairModel
 from .planner import (
-    TAG_DAMAGE,
     EpisodeResult,
     PolicyKind,
     RestorationCurve,
     RolloutConfig,
     RolloutMode,
+    episode_damage,
     exhaustive_oracle,
-    keyed_seed,
+    oracle_gap,
     run_episode,
+    run_episodes,
 )
 from .scenario import Scenario, load_scenario
 
@@ -49,15 +49,14 @@ def _metric_label(objective: Objective) -> str:
 
 @dataclass(frozen=True)
 class RunReport:
-    """Everything a run emits, before rendering: per-policy episode results
-    and summary statistics, plus the configuration echo."""
+    """Per-policy episode metrics plus the configuration echo, before
+    rendering."""
 
     scenario_name: str
     seed: int
     episodes: int
     mdp: MdpConfig
     rollout: RolloutConfig
-    results: dict[str, list[EpisodeResult]]
     metrics: dict[str, list[float]]
 
     def mean_stderr(self, policy: str) -> tuple[float, float]:
@@ -116,33 +115,6 @@ def _write(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8", newline="\n")
 
 
-def _run_policy_episodes(
-    scenario: Scenario,
-    policy: PolicyKind,
-    rollout_cfg: RolloutConfig,
-    seed: int,
-    episodes: int,
-) -> tuple[list[EpisodeResult], list[float]]:
-    results: list[EpisodeResult] = []
-    metrics: list[float] = []
-    for ep in range(episodes):
-        damage_rng = np.random.default_rng(keyed_seed(seed, TAG_DAMAGE, ep))
-        damage = sample_initial_damage(scenario.community, scenario.hazards, damage_rng)
-        res = run_episode(
-            policy,
-            damage,
-            scenario.community,
-            scenario.mdp,
-            rollout_cfg,
-            scenario.base_policy,
-            root_seed=seed,
-            episode_index=ep,
-        )
-        results.append(res)
-        metrics.append(res.metric(scenario.mdp.objective))
-    return results, metrics
-
-
 def _resolve_common(args: argparse.Namespace) -> tuple[Scenario, int, RolloutConfig]:
     scenario = load_scenario(args.scenario)
     seed = scenario.seed if args.seed is None else args.seed
@@ -161,16 +133,17 @@ def _resolve_common(args: argparse.Namespace) -> tuple[Scenario, int, RolloutCon
 def cmd_plan(args: argparse.Namespace) -> int:
     scenario, seed, rollout_cfg = _resolve_common(args)
     policy = PolicyKind(args.policy)
-    results, metrics = _run_policy_episodes(
-        scenario, policy, rollout_cfg, seed, args.episodes
+    results = run_episodes(
+        policy, scenario.community, scenario.hazards, scenario.mdp, rollout_cfg,
+        scenario.base_policy, n_episodes=args.episodes, root_seed=seed,
     )
+    metrics = [res.metric(scenario.mdp.objective) for res in results]
     report = RunReport(
         scenario_name=scenario.name,
         seed=seed,
         episodes=args.episodes,
         mdp=scenario.mdp,
         rollout=rollout_cfg,
-        results={policy.value: results},
         metrics={policy.value: metrics},
     )
     out = Path(args.out)
@@ -204,19 +177,22 @@ def _mean_retailer_recovery(results: list[EpisodeResult]) -> list[float]:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     scenario, seed, rollout_cfg = _resolve_common(args)
-    base_results, base_metrics = _run_policy_episodes(
-        scenario, PolicyKind.BASE, rollout_cfg, seed, args.episodes
+    base_results, roll_results = (
+        run_episodes(
+            policy, scenario.community, scenario.hazards, scenario.mdp,
+            rollout_cfg, scenario.base_policy, n_episodes=args.episodes,
+            root_seed=seed,
+        )
+        for policy in (PolicyKind.BASE, PolicyKind.ROLLOUT)
     )
-    roll_results, roll_metrics = _run_policy_episodes(
-        scenario, PolicyKind.ROLLOUT, rollout_cfg, seed, args.episodes
-    )
+    base_metrics = [res.metric(scenario.mdp.objective) for res in base_results]
+    roll_metrics = [res.metric(scenario.mdp.objective) for res in roll_results]
     report = RunReport(
         scenario_name=scenario.name,
         seed=seed,
         episodes=args.episodes,
         mdp=scenario.mdp,
         rollout=rollout_cfg,
-        results={"base": base_results, "rollout": roll_results},
         metrics={"base": base_metrics, "rollout": roll_metrics},
     )
     base_mean, base_se = report.mean_stderr("base")
@@ -264,8 +240,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     scenario, seed, rollout_cfg = _resolve_common(args)
     # the oracle needs deterministic repairs; force the model here
     mdp = replace(scenario.mdp, repair_model=RepairModel.REMAINING_WORK)
-    damage_rng = np.random.default_rng(keyed_seed(seed, TAG_DAMAGE, 0))
-    damage = sample_initial_damage(scenario.community, scenario.hazards, damage_rng)
+    damage = episode_damage(scenario.community, scenario.hazards, seed, 0)
     optimum, _ = exhaustive_oracle(damage, scenario.community, mdp)
     result = run_episode(
         PolicyKind.ROLLOUT,
@@ -278,10 +253,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         episode_index=0,
     )
     achieved = result.metric(mdp.objective)
-    if mdp.objective is Objective.MIN_TIME_TO_COVERAGE:
-        gap = (achieved - optimum) / optimum if optimum > 0.0 else 0.0
-    else:
-        gap = (optimum - achieved) / optimum if optimum > 0.0 else 0.0
+    gap = oracle_gap(achieved, optimum, mdp.objective)
     verdict = "PASS" if gap <= _ORACLE_GAP_TOLERANCE else "FAIL"
     label = _metric_label(mdp.objective)
     print(f"oracle_optimum {label} {_fmt(optimum)}")
@@ -295,8 +267,7 @@ def cmd_sample_damage(args: argparse.Namespace) -> int:
     scenario, seed, _ = _resolve_common(args)
     rows = ["episode,component_id,damage_state"]
     for ep in range(args.episodes):
-        damage_rng = np.random.default_rng(keyed_seed(seed, TAG_DAMAGE, ep))
-        damage = sample_initial_damage(scenario.community, scenario.hazards, damage_rng)
+        damage = episode_damage(scenario.community, scenario.hazards, seed, ep)
         counts = {s: 0 for s in DamageState}
         for comp, state in zip(scenario.community.components, damage):
             counts[state] += 1

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     CrossNetworkViolation,
@@ -139,26 +139,11 @@ class Retailer:
             raise ValidationError(f"retailer {self.id}: capacity must be > 0")
 
 
-@dataclass(frozen=True)
-class ServiceStatus:
-    """Utility availability per cell and per retailer, aligned with the
-    community's cell/retailer ordering.  Each entry is (has_power, has_water)."""
-
-    cells: tuple[tuple[bool, bool], ...]
-    retailers: tuple[tuple[bool, bool], ...]
-
-
-@dataclass(frozen=True)
-class DependencyGraph:
-    """Directed supplier -> dependent edges.  Listed edges are hard
-    AND-dependencies unless the dependent is an OR-junction."""
-
-    edges: tuple[tuple[int, int], ...] = field(default_factory=tuple)
-
-
 class Community:
-    """Validated, immutable composition of components, graph, cells and
-    retailers, with derived index structures precomputed for simulation.
+    """Validated, immutable composition of components, dependency edges,
+    cells and retailers, with derived index structures precomputed for
+    simulation.  Edges run supplier -> dependent and are hard
+    AND-dependencies unless the dependent is an OR-junction.
 
     Construct through :func:`build_community`; attributes are read-only by
     convention.
@@ -167,7 +152,7 @@ class Community:
     def __init__(
         self,
         components: list[Component],
-        graph: DependencyGraph,
+        edges: list[tuple[int, int]],
         cells: list[GridCell],
         retailers: list[Retailer],
         gravity_exponent: float = 2.0,
@@ -177,7 +162,9 @@ class Community:
         self.components: tuple[Component, ...] = tuple(
             sorted(components, key=lambda c: c.id)
         )
-        self.graph = graph
+        self.edges: tuple[tuple[int, int], ...] = tuple(
+            (int(s), int(d)) for s, d in edges
+        )
         self.cells: tuple[GridCell, ...] = tuple(sorted(cells, key=lambda c: c.id))
         self.retailers: tuple[Retailer, ...] = tuple(
             sorted(retailers, key=lambda r: r.id)
@@ -193,7 +180,7 @@ class Community:
 
         self._validate_edges()
         supplier_lists: list[list[int]] = [[] for _ in range(n)]
-        for supplier, dependent in self.graph.edges:
+        for supplier, dependent in self.edges:
             supplier_lists[self.index_of[dependent]].append(self.index_of[supplier])
         self.suppliers: tuple[tuple[int, ...], ...] = tuple(
             tuple(sorted(s)) for s in supplier_lists
@@ -239,7 +226,7 @@ class Community:
         return self.components[self.index_of[component_id]]
 
     def _validate_edges(self) -> None:
-        for supplier, dependent in self.graph.edges:
+        for supplier, dependent in self.edges:
             for cid in (supplier, dependent):
                 if cid not in self.index_of:
                     raise DanglingFeedReference(
@@ -263,7 +250,7 @@ class Community:
         n = len(self.components)
         indegree = [0] * n
         dependents: list[list[int]] = [[] for _ in range(n)]
-        for supplier, dependent in self.graph.edges:
+        for supplier, dependent in self.edges:
             s, d = self.index_of[supplier], self.index_of[dependent]
             indegree[d] += 1
             dependents[s].append(d)
@@ -313,7 +300,7 @@ def build_community(
     on any broken invariant."""
     return Community(
         components=components,
-        graph=DependencyGraph(edges=tuple((int(s), int(d)) for s, d in edges)),
+        edges=edges,
         cells=cells,
         retailers=retailers,
         gravity_exponent=gravity_exponent,
@@ -352,19 +339,6 @@ def functional_set(
     )
 
 
-def service_status(community: Community, functional: frozenset[int]) -> ServiceStatus:
-    """Utility availability for every cell and retailer, looked up from the
-    functional set."""
-    fn = functional
-    cells = tuple(
-        (cell.power_feed in fn, cell.water_feed in fn) for cell in community.cells
-    )
-    retailers = tuple(
-        (r.power_feed in fn, r.water_feed in fn) for r in community.retailers
-    )
-    return ServiceStatus(cells=cells, retailers=retailers)
-
-
 def gravity_weights(community: Community) -> tuple[tuple[float, ...], ...]:
     """Cell-by-retailer shopping weights: capacity times inverse-power
     distance, normalized so each row sums to one."""
@@ -387,26 +361,6 @@ def gravity_weights(community: Community) -> tuple[tuple[float, ...], ...]:
         total = sum(raw)
         rows.append(tuple(w / total for w in raw))
     return tuple(rows)
-
-
-def benefit_count(
-    community: Community,
-    status: ServiceStatus,
-    weights: tuple[tuple[float, ...], ...],
-) -> float:
-    """Expected number of people with power, water, and access to a fully
-    served retailer.  A retailer missing either utility contributes nothing."""
-    total = 0.0
-    for ci, (has_power, has_water) in enumerate(status.cells):
-        if not (has_power and has_water):
-            continue
-        row = weights[ci]
-        served = 0.0
-        for ri, (r_power, r_water) in enumerate(status.retailers):
-            if r_power and r_water:
-                served += row[ri]
-        total += community.populations[ci] * served
-    return total
 
 
 def benefit_from_mask(community: Community, mask: list[bool]) -> float:
@@ -458,10 +412,3 @@ def fractions_from_mask(
     epn_frac = sum(1 for i in epn if mask[i]) / len(epn) if epn else 1.0
     wn_frac = sum(1 for i in wn if mask[i]) / len(wn) if wn else 1.0
     return epn_frac, wn_frac
-
-
-def network_functional_fractions(
-    community: Community, damage: tuple[DamageState, ...]
-) -> tuple[float, float]:
-    """(EPN, WN) fractions of components currently functional."""
-    return fractions_from_mask(community, functional_mask(community, damage))

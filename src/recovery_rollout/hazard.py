@@ -121,19 +121,6 @@ class ComponentHazard:
         return damage_pmf(self.fragility)
 
 
-def sample_damage_state(
-    pmf: tuple[float, float, float, float, float], rng: np.random.Generator
-) -> DamageState:
-    """One inverse-CDF draw."""
-    u = rng.random()
-    acc = 0.0
-    for state in DamageState:
-        acc += pmf[int(state)]
-        if u < acc:
-            return state
-    return DamageState.COMPLETE
-
-
 def sample_initial_damage(
     community: Community,
     hazards: dict[int, ComponentHazard],

@@ -123,20 +123,6 @@ class DrawSource:
         raise NotImplementedError
 
 
-class FreshDraws(DrawSource):
-    """Memoryless form: every query redraws, progress is discarded.  The
-    per-step law is the same as the work-tracking form."""
-
-    def __init__(self, rng: np.random.Generator) -> None:
-        self.rng = rng
-
-    def remaining_unit(self, component_index: int) -> float:
-        return float(self.rng.standard_exponential())
-
-    def consume_unit(self, component_index: int, used: float) -> None:
-        pass
-
-
 class RepairWorkTable:
     """One unit-exponential work requirement per component, drawn up front
     from a seeded stream.  Every cursor replays the same requirements."""
@@ -329,28 +315,17 @@ def reward(
     )
 
 
-def step(
-    state: RecoveryState,
-    action: RepairAction,
-    community: Community,
-    config: MdpConfig,
-    draws: DrawSource,
-) -> TransitionOutcome:
-    """One decision epoch: run the assigned repairs until the first
-    completion, repair the finisher(s), advance elapsed time, pay reward."""
-    check_admissible(state, action, community, config)
-    return transition(state, action, community, config, draws)
-
-
 def transition(
     state: RecoveryState,
     action: RepairAction,
     community: Community,
     config: MdpConfig,
-    draws: DrawSource,
+    draws: DrawSource | None,
 ) -> TransitionOutcome:
-    """step without the admissibility check, for callers that construct
-    actions they already know to be valid."""
+    """One decision epoch: run the assigned repairs until the first
+    completion, repair the finisher(s), advance elapsed time, pay reward.
+    The action is not checked (see check_admissible).  The deterministic
+    repair model draws no noise, so draws may be None there."""
     assigned = action.assigned_indices()
     damage = list(state.damage)
 

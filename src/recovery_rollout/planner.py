@@ -1,5 +1,5 @@
-"""Base policy, rollout decision engine, episode runner, policy evaluation,
-and a brute-force schedule oracle for desk-scale validation.
+"""Base policy, rollout decision engine, episode runner and driver, and a
+brute-force schedule oracle for desk-scale validation.
 
 The rollout policy scores each candidate first action by simulating the base
 policy afterwards and picking the best estimated Q-value.  All randomness is
@@ -211,7 +211,7 @@ def trajectory_return(
     mdp: MdpConfig,
     community: Community,
     horizon: int,
-    draws: DrawSource,
+    draws: DrawSource | None,
 ) -> float:
     """Discounted return of forcing first_action now and following the base
     policy for up to horizon further steps, truncated at terminal states."""
@@ -248,8 +248,7 @@ def estimate_q(
     needs a single trajectory."""
     if mdp.repair_model is RepairModel.REMAINING_WORK:
         value = trajectory_return(
-            state, action, base_policy, mdp, community, horizon,
-            draws_for_trajectory(0),
+            state, action, base_policy, mdp, community, horizon, None
         )
         return QEstimate(
             value=value, std_error=0.0, n_trajectories=1, returns=(value,)
@@ -534,7 +533,19 @@ def run_episode(
     )
 
 
-def evaluate_policy(
+def episode_damage(
+    community: Community,
+    hazards: dict[int, ComponentHazard],
+    root_seed: int,
+    episode_index: int,
+) -> tuple[DamageState, ...]:
+    """Initial damage of episode episode_index, drawn from the stream keyed
+    (root_seed, TAG_DAMAGE, episode_index)."""
+    rng = np.random.default_rng(keyed_seed(root_seed, TAG_DAMAGE, episode_index))
+    return sample_initial_damage(community, hazards, rng)
+
+
+def run_episodes(
     policy: PolicyKind,
     community: Community,
     hazards: dict[int, ComponentHazard],
@@ -543,25 +554,18 @@ def evaluate_policy(
     base_policy: PriorityBasePolicy,
     n_episodes: int,
     root_seed: int,
-) -> tuple[float, float, list[float]]:
-    """Mean episode metric with its standard error across independently
-    sampled initial damages.  Episode index keys both the damage draw and
-    the repair noise, so calling this for base and rollout with the same
-    seed gives paired episodes."""
-    if n_episodes < 2:
-        raise ValidationError("need at least 2 episodes for a standard error")
-    metrics: list[float] = []
-    for ep in range(n_episodes):
-        damage_rng = np.random.default_rng(keyed_seed(root_seed, TAG_DAMAGE, ep))
-        damage = sample_initial_damage(community, hazards, damage_rng)
-        result = run_episode(
-            policy, damage, community, mdp, rollout_config, base_policy,
+) -> list[EpisodeResult]:
+    """Episodes 0..n_episodes-1 under one policy.  Episode index keys both
+    the damage draw and the repair noise, so calling this for base and
+    rollout with the same seed gives paired episodes."""
+    return [
+        run_episode(
+            policy, episode_damage(community, hazards, root_seed, ep),
+            community, mdp, rollout_config, base_policy,
             root_seed=root_seed, episode_index=ep,
         )
-        metrics.append(result.metric(mdp.objective))
-    mean = float(np.mean(metrics))
-    stderr = float(np.std(metrics, ddof=1)) / math.sqrt(n_episodes)
-    return mean, stderr, metrics
+        for ep in range(n_episodes)
+    ]
 
 
 _ORACLE_MAX_DAMAGED = 8
@@ -608,7 +612,7 @@ def exhaustive_oracle(
                 raise InstanceTooLarge(
                     "schedule enumeration exceeded the oracle bound"
                 )
-            outcome = transition(state, action, community, mdp, _NO_DRAWS)
+            outcome = transition(state, action, community, mdp, None)
             value, _ = search(
                 outcome.next_state, area + benefit_now * outcome.completion_time
             )
@@ -628,12 +632,12 @@ def exhaustive_oracle(
     return value, first
 
 
-class _NoDraws(DrawSource):
-    def remaining_unit(self, component_index: int) -> float:
-        raise AssertionError("deterministic mode must not draw repair noise")
-
-    def consume_unit(self, component_index: int, used: float) -> None:
-        raise AssertionError("deterministic mode must not draw repair noise")
-
-
-_NO_DRAWS = _NoDraws()
+def oracle_gap(achieved: float, optimum: float, objective: Objective) -> float:
+    """Relative shortfall of an achieved metric behind the oracle optimum,
+    positive when worse: excess time under the time objective, lost
+    persons per day under the benefit objective."""
+    if optimum <= 0.0:
+        return 0.0
+    if objective is Objective.MIN_TIME_TO_COVERAGE:
+        return (achieved - optimum) / optimum
+    return (optimum - achieved) / optimum

@@ -291,8 +291,8 @@ def parse_scenario(raw: Any, source: str = "<scenario>") -> Scenario:
         ),
     )
     seed = _integer(doc.get("seed", 0), "seed")
-    if seed < 0:
-        raise ParseError("seed: must be >= 0")
+    if not 0 <= seed < 2**64:
+        raise ParseError("seed: must fit in an unsigned 64-bit integer")
     return Scenario(
         name=str(doc.get("name", "scenario")),
         community=community,

@@ -8,6 +8,8 @@ suite.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,15 @@ from recovery_rollout.community import (
     Retailer,
     build_community,
     functional_mask,
+)
+from recovery_rollout.mdp import (
+    DrawSource,
+    MdpConfig,
+    RecoveryState,
+    RepairAction,
+    TransitionOutcome,
+    check_admissible,
+    transition,
 )
 
 PIPE_DAYS = {
@@ -162,6 +173,75 @@ def iterative_removal_oracle(
                 alive.remove(i)
                 changed = True
     return frozenset(community.components[i].id for i in sorted(alive))
+
+
+@dataclass(frozen=True)
+class ServiceStatus:
+    """Utility availability per cell and per retailer, aligned with the
+    community's cell/retailer ordering.  Each entry is (has_power, has_water)."""
+
+    cells: tuple[tuple[bool, bool], ...]
+    retailers: tuple[tuple[bool, bool], ...]
+
+
+def service_status(community: Community, functional: frozenset[int]) -> ServiceStatus:
+    """Utility availability for every cell and retailer, looked up from the
+    functional set of component ids."""
+    fn = functional
+    cells = tuple(
+        (cell.power_feed in fn, cell.water_feed in fn) for cell in community.cells
+    )
+    retailers = tuple(
+        (r.power_feed in fn, r.water_feed in fn) for r in community.retailers
+    )
+    return ServiceStatus(cells=cells, retailers=retailers)
+
+
+def benefit_count(
+    community: Community,
+    status: ServiceStatus,
+    weights: tuple[tuple[float, ...], ...],
+) -> float:
+    """Set-based benefit oracle, independent of the mask path: expected
+    number of people with power, water, and access to a fully served
+    retailer.  A retailer missing either utility contributes nothing."""
+    total = 0.0
+    for ci, (has_power, has_water) in enumerate(status.cells):
+        if not (has_power and has_water):
+            continue
+        row = weights[ci]
+        served = 0.0
+        for ri, (r_power, r_water) in enumerate(status.retailers):
+            if r_power and r_water:
+                served += row[ri]
+        total += community.populations[ci] * served
+    return total
+
+
+class FreshDraws(DrawSource):
+    """Memoryless form: every query redraws, progress is discarded.  The
+    per-step law is the same as the work-tracking form."""
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self.rng = rng
+
+    def remaining_unit(self, component_index: int) -> float:
+        return float(self.rng.standard_exponential())
+
+    def consume_unit(self, component_index: int, used: float) -> None:
+        pass
+
+
+def step(
+    state: RecoveryState,
+    action: RepairAction,
+    community: Community,
+    config: MdpConfig,
+    draws: DrawSource,
+) -> TransitionOutcome:
+    """transition with the admissibility check in front."""
+    check_admissible(state, action, community, config)
+    return transition(state, action, community, config, draws)
 
 
 @pytest.fixture

@@ -25,10 +25,8 @@ from recovery_rollout.community import (
     build_community,
     functional_set,
 )
-from recovery_rollout.hazard import damage_pmf, exceedance_prob, sample_initial_damage
-from recovery_rollout.hazard import FragilitySet
+from recovery_rollout.hazard import FragilitySet, damage_pmf, exceedance_prob
 from recovery_rollout.mdp import (
-    FreshDraws,
     MdpConfig,
     Objective,
     RepairModel,
@@ -41,16 +39,17 @@ from recovery_rollout.mdp import (
     transition,
 )
 from recovery_rollout.planner import (
-    TAG_DAMAGE,
     PolicyKind,
     RolloutMode,
+    episode_damage,
     exhaustive_oracle,
-    keyed_seed,
     run_episode,
+    run_episodes,
 )
 from recovery_rollout.scenario import load_scenario
 
 from conftest import (
+    FreshDraws,
     comp,
     damage_for,
     desk_community,
@@ -235,27 +234,19 @@ def test_criterion_04_cascade_fixed_point(capsys):
 
 
 def _paired_episodes(scenario, mdp, rollout_cfg, n_episodes):
-    diffs = []
-    minimize = mdp.objective is Objective.MIN_TIME_TO_COVERAGE
-    for ep in range(n_episodes):
-        damage_rng = np.random.default_rng(
-            keyed_seed(scenario.seed, TAG_DAMAGE, ep)
-        )
-        damage = sample_initial_damage(
-            scenario.community, scenario.hazards, damage_rng
-        )
-        runs = {}
-        for policy in (PolicyKind.BASE, PolicyKind.ROLLOUT):
-            runs[policy] = run_episode(
-                policy, damage, scenario.community, mdp, rollout_cfg,
-                scenario.base_policy, root_seed=scenario.seed,
-                episode_index=ep,
-            ).metric(mdp.objective)
-        if minimize:
-            diffs.append(runs[PolicyKind.BASE] - runs[PolicyKind.ROLLOUT])
-        else:
-            diffs.append(runs[PolicyKind.ROLLOUT] - runs[PolicyKind.BASE])
-    return np.asarray(diffs)
+    base, roll = (
+        [
+            res.metric(mdp.objective)
+            for res in run_episodes(
+                policy, scenario.community, scenario.hazards, mdp, rollout_cfg,
+                scenario.base_policy, n_episodes, root_seed=scenario.seed,
+            )
+        ]
+        for policy in (PolicyKind.BASE, PolicyKind.ROLLOUT)
+    )
+    if mdp.objective is Objective.MIN_TIME_TO_COVERAGE:
+        return np.subtract(base, roll)
+    return np.subtract(roll, base)
 
 
 def test_criterion_05_paired_improvement(capsys):
@@ -345,10 +336,7 @@ def test_criterion_07_estimate_discipline(capsys):
     """Every Q-estimate in a rollout decision log reaches the standard-error
     target or the trajectory cap."""
     scenario = load_scenario(MINI)
-    damage_rng = np.random.default_rng(keyed_seed(scenario.seed, TAG_DAMAGE, 0))
-    damage = sample_initial_damage(
-        scenario.community, scenario.hazards, damage_rng
-    )
+    damage = episode_damage(scenario.community, scenario.hazards, scenario.seed, 0)
     result = run_episode(
         PolicyKind.ROLLOUT, damage, scenario.community, scenario.mdp,
         scenario.rollout, scenario.base_policy, root_seed=scenario.seed,

@@ -12,13 +12,11 @@ from recovery_rollout.community import (
     DamageState,
     GridCell,
     Retailer,
-    benefit_count,
     benefit_for_damage,
     build_community,
     functional_mask,
     functional_set,
     gravity_weights,
-    service_status,
 )
 from recovery_rollout.errors import (
     CrossNetworkViolation,
@@ -30,11 +28,13 @@ from recovery_rollout.errors import (
 )
 
 from conftest import (
+    benefit_count,
     comp,
     damage_for,
     desk_community,
     iterative_removal_oracle,
     random_dag_community,
+    service_status,
     two_utility_community,
 )
 

@@ -1,0 +1,113 @@
+"""Golden outputs: the sha256 of stdout and of every file each CLI command
+writes on the bundled scenarios.
+
+Refactors must keep these bytes.  A digest may change only together with
+a CHANGES.md entry that names the output change and gives its reason.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+import recovery_rollout
+from recovery_rollout.cli import main
+
+DATA = Path(recovery_rollout.__file__).parent / "data"
+MINI = str(DATA / "mini_gilroy.yaml")
+DEMO = str(DATA / "oracle_demo.yaml")
+
+# (case id, argv without --out, writes files?, {output name: sha256})
+CASES = [
+    (
+        "plan-mini",
+        ["plan", "--scenario", MINI, "--episodes", "2"],
+        True,
+        {
+            "stdout": "4e2b0d5be354d5756ddb991e30e5838145754defcef3c5b0ab2e6c7f414e39be",
+            "curve_rollout_ep0.csv": "9adfc1680563aa8164cb0459b35843ea8c38794e17b9529580c1af9ee11ab00c",
+            "curve_rollout_ep1.csv": "64c5185d88f21f0db0c597a910fd8eb909184bee0bf9f078ff48a368ba2bdc35",
+            "summary_plan.txt": "95324ae78d6a7a825a9c834184f16a8fea178de859a8eaef55884ed6b126b17a",
+            "trace_rollout.txt": "24a5648483636556975c08ed57449d4319b87421386d65b9084b517b27afe227",
+        },
+    ),
+    (
+        "compare-mini-mean",
+        ["compare", "--scenario", MINI, "--episodes", "2", "--mode", "mean"],
+        True,
+        {
+            "stdout": "f5fa9118e1c1ca8e81b0f20b12d9b8b37f8758373c0257251744adc4b98ee730",
+            "compare_retailers.csv": "89e4236a4880a4b3ea0e1fdcc1a91df0dc877526fdd3c7de2dbb13f1dbdb96be",
+            "compare_summary.txt": "0b13253b10851c680f73dad2e9bcfbbfdfc8df9c78154770dbb53343ecb9b57c",
+            "curve_base_ep0.csv": "3438e23cd3ef561405e20b094dbe72614f76b27c6c735ecf1267b59a4e8236e0",
+            "curve_rollout_ep0.csv": "9adfc1680563aa8164cb0459b35843ea8c38794e17b9529580c1af9ee11ab00c",
+        },
+    ),
+    (
+        "compare-mini-worst",
+        ["compare", "--scenario", MINI, "--episodes", "2", "--mode", "worst"],
+        True,
+        {
+            "stdout": "ea7bd9792a8f286693738e9da1f1ac0bae4241cb485d9d261ecb7693c7c78b4d",
+            "compare_retailers.csv": "d37a4366aa6143f033eb10e8cc4bba2298e6d2160c44a1b9fb69c89e06161125",
+            "compare_summary.txt": "56cddb549ef080c33998f7cd2c37f943d73de5d270504e16efe6c08907d5150d",
+            "curve_base_ep0.csv": "3438e23cd3ef561405e20b094dbe72614f76b27c6c735ecf1267b59a4e8236e0",
+            "curve_rollout_ep0.csv": "64a279d85bad1fda1d3b6ce000ceca2b2b5e1ffa16c7c932538fe522bed2d0cf",
+        },
+    ),
+    (
+        "sample-damage-mini",
+        ["sample-damage", "--scenario", MINI, "--episodes", "5"],
+        True,
+        {
+            "stdout": "4dac8dd4abe2ef95f9c04a709cbc584f124dc36315ba7f7bf2f822d73c1de6ca",
+            "damage_samples.csv": "720f573c05c370d04cfcf5d3d9e3168c9c1b35de1ff2c706e9c90dd6c3dc3055",
+        },
+    ),
+    (
+        "plan-demo",
+        ["plan", "--scenario", DEMO],
+        True,
+        {
+            "stdout": "ede0481b9d2b5fc11311b785d0114f9c8d0fb769f1b72aa7abd20e8e5cf5751f",
+            "curve_rollout_ep0.csv": "e273ed8de65966c6de1734f03785bdca67a47c0f517be7aaddbded642c8a03aa",
+            "summary_plan.txt": "748d54d97b56710d96bcc8236bd952b144c27a8f32f10ba7a9d17884aa230d42",
+            "trace_rollout.txt": "96d722e84d6c20618dc1a7c13fb6765e2882b5eb16f3ad352d4dd095d73ac482",
+        },
+    ),
+    (
+        "oracle-check-demo",
+        ["oracle-check", "--scenario", DEMO],
+        False,
+        {
+            "stdout": "bc1e37352926388087ab598584c5688b4c45a370ce92795c0fc8907b46a3cd06",
+        },
+    ),
+]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_digests(argv: list[str], writes_files: bool, out: Path, capsys) -> dict:
+    """Run one CLI command; return the sha256 of stdout and of every file
+    it wrote, keyed by file name."""
+    if writes_files:
+        argv = argv + ["--out", str(out)]
+    assert main(argv) == 0
+    digests = {"stdout": _sha(capsys.readouterr().out.encode("utf-8"))}
+    if writes_files:
+        for path in sorted(out.iterdir()):
+            digests[path.name] = _sha(path.read_bytes())
+    return digests
+
+
+@pytest.mark.parametrize(
+    "argv, writes_files, expected",
+    [pytest.param(argv, w, exp, id=name) for name, argv, w, exp in CASES],
+)
+def test_cli_outputs_match_golden_digests(argv, writes_files, expected, tmp_path, capsys):
+    assert run_digests(argv, writes_files, tmp_path / "out", capsys) == expected

@@ -23,7 +23,6 @@ from recovery_rollout.hazard import (
     FragilitySet,
     damage_pmf,
     exceedance_prob,
-    sample_damage_state,
     sample_initial_damage,
 )
 
@@ -177,12 +176,14 @@ def test_fixed_hazard_is_one_hot():
 
 
 def test_degenerate_pmf_always_complete():
+    community = two_utility_community()
+    hazards = {
+        cid: ComponentHazard(pmf=(0.0, 0.0, 0.0, 0.0, 1.0)) for cid in (1, 2, 3, 4)
+    }
     rng = np.random.default_rng(3)
     for _ in range(20):
-        assert (
-            sample_damage_state((0.0, 0.0, 0.0, 0.0, 1.0), rng)
-            is DamageState.COMPLETE
-        )
+        damage = sample_initial_damage(community, hazards, rng)
+        assert all(d is DamageState.COMPLETE for d in damage)
 
 
 def test_sampling_reproducible():
@@ -226,9 +227,12 @@ def test_empirical_frequencies_match_pmf():
     freq = counts / n
     assert np.abs(freq - np.asarray(pmf)).max() < 0.01
 
+    community = two_utility_community()
+    hazards = {cid: ComponentHazard(pmf=pmf) for cid in (1, 2, 3, 4)}
     rng = np.random.default_rng(42)
     lib_counts = np.zeros(5)
-    for _ in range(20_000):
-        lib_counts[int(sample_damage_state(pmf, rng))] += 1
+    for _ in range(5_000):
+        for d in sample_initial_damage(community, hazards, rng):
+            lib_counts[int(d)] += 1
     lib_freq = lib_counts / 20_000
     assert np.abs(lib_freq - np.asarray(pmf)).max() < 0.015

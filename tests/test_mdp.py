@@ -21,7 +21,6 @@ from recovery_rollout.errors import (
     ZeroElapsedTime,
 )
 from recovery_rollout.mdp import (
-    FreshDraws,
     MdpConfig,
     Objective,
     RecoveryState,
@@ -36,10 +35,16 @@ from recovery_rollout.mdp import (
     initial_state,
     is_terminal,
     reward,
-    step,
 )
 
-from conftest import comp, damage_for, desk_community, two_utility_community
+from conftest import (
+    FreshDraws,
+    comp,
+    damage_for,
+    desk_community,
+    step,
+    two_utility_community,
+)
 
 C = ComponentClass
 D = DamageState

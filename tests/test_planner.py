@@ -36,11 +36,12 @@ from recovery_rollout.planner import (
     RolloutMode,
     base_action,
     estimate_q,
-    evaluate_policy,
     exhaustive_oracle,
     keyed_seed,
+    oracle_gap,
     rollout_decision,
     run_episode,
+    run_episodes,
     trajectory_return,
 )
 
@@ -483,19 +484,10 @@ def test_episode_decision_indices_key_episode_and_step():
     assert [d.index for d in result.decisions] == [30_000, 30_001]
 
 
-# --- policy evaluation -------------------------------------------------------
+# --- episode driver ----------------------------------------------------------
 
 
-def test_evaluate_policy_needs_two_episodes():
-    community = two_utility_community()
-    with pytest.raises(ValidationError):
-        evaluate_policy(
-            PolicyKind.BASE, community, {}, MdpConfig(n_e=1, n_w=1),
-            RolloutConfig(), BASE, n_episodes=1, root_seed=0,
-        )
-
-
-def test_evaluate_policy_deterministic_hazard():
+def test_run_episodes_deterministic_hazard():
     community = detour_community()
     mdp = detour_mdp(RepairModel.REMAINING_WORK)
     hazards = {cid: ComponentHazard(fixed=D.NONE) for cid in (1, 3)}
@@ -504,19 +496,33 @@ def test_evaluate_policy_deterministic_hazard():
         4: ComponentHazard(fixed=D.MODERATE),
         5: ComponentHazard(fixed=D.MODERATE),
     })
-    mean, stderr, metrics = evaluate_policy(
+    results = run_episodes(
         PolicyKind.ROLLOUT, community, hazards, mdp, RolloutConfig(), BASE,
         n_episodes=3, root_seed=5,
     )
+    metrics = [res.metric(mdp.objective) for res in results]
     assert metrics == pytest.approx([2.0, 2.0, 2.0])
-    assert mean == pytest.approx(2.0)
-    assert stderr == 0.0
+    assert np.mean(metrics) == pytest.approx(2.0)
+    assert np.std(metrics, ddof=1) == 0.0
 
-    base_mean, _, _ = evaluate_policy(
+    base_results = run_episodes(
         PolicyKind.BASE, community, hazards, mdp, RolloutConfig(), BASE,
         n_episodes=3, root_seed=5,
     )
-    assert base_mean == pytest.approx(6.0)
+    assert np.mean([res.metric(mdp.objective) for res in base_results]) == (
+        pytest.approx(6.0)
+    )
+
+
+def test_oracle_gap_positive_when_worse_under_both_objectives():
+    time_obj = Objective.MIN_TIME_TO_COVERAGE
+    rate_obj = Objective.MAX_BENEFIT_RATE
+    # 10% slower than the optimum, or 10% fewer persons per day
+    assert oracle_gap(11.0, 10.0, time_obj) == pytest.approx(0.1)
+    assert oracle_gap(900.0, 1000.0, rate_obj) == pytest.approx(0.1)
+    assert oracle_gap(10.0, 10.0, time_obj) == 0.0
+    assert oracle_gap(1000.0, 1000.0, rate_obj) == 0.0
+    assert oracle_gap(5.0, 0.0, time_obj) == 0.0
 
 
 # --- exhaustive schedule oracle ---------------------------------------------

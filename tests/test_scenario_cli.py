@@ -152,9 +152,10 @@ def test_fragility_form_roundtrip():
     assert pmf[2] > 0.0  # mass at moderate for im right at that median
 
 
-def test_negative_seed_rejected():
+@pytest.mark.parametrize("seed", [-1, 2**64], ids=["negative", "too-large"])
+def test_negative_seed_rejected(seed):
     doc = minimal_doc()
-    doc["seed"] = -1
+    doc["seed"] = seed
     with pytest.raises(ParseError, match="seed"):
         parse_scenario(doc)
 
