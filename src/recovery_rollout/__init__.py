@@ -10,7 +10,6 @@ from .community import (
     Network,
     Retailer,
     build_community,
-    functional_set,
     gravity_weights,
 )
 from .hazard import (

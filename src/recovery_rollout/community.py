@@ -329,16 +329,6 @@ def functional_mask(
     return mask
 
 
-def functional_set(
-    community: Community, damage: tuple[DamageState, ...]
-) -> frozenset[int]:
-    """Ids of functional components under the given damage vector."""
-    mask = functional_mask(community, damage)
-    return frozenset(
-        community.components[i].id for i in range(community.n_components) if mask[i]
-    )
-
-
 def gravity_weights(community: Community) -> tuple[tuple[float, ...], ...]:
     """Cell-by-retailer shopping weights: capacity times inverse-power
     distance, normalized so each row sums to one."""

@@ -89,13 +89,14 @@ class RecoveryState:
 
 @dataclass(frozen=True)
 class RepairAction:
-    """Crew assignment as a boolean per component; true only at damaged
-    components, with each network's count equal to min(crews, damaged)."""
+    """Crew assignment as the ascending indices of the components the crews
+    repair; admissible when they are damaged and each network's count
+    equals min(crews, damaged)."""
 
-    assign: tuple[bool, ...]
+    indices: tuple[int, ...]
 
     def assigned_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, a in enumerate(self.assign) if a)
+        return self.indices
 
 
 @dataclass(frozen=True)
@@ -104,46 +105,6 @@ class TransitionOutcome:
     completion_time: float
     repaired: frozenset[int]
     reward: float
-
-
-class DrawSource:
-    """Supplies each component's outstanding repair requirement in
-    unit-mean-exponential units and records progress on it.
-
-    For exponential repair times, tracking remaining requirement across
-    epochs is distributionally identical to redrawing fresh times after
-    every preemption (memorylessness), but it lets two simulations that
-    share a draw table face exactly the same repair workloads, which is
-    what makes paired comparisons low-variance."""
-
-    def remaining_unit(self, component_index: int) -> float:
-        raise NotImplementedError
-
-    def consume_unit(self, component_index: int, used: float) -> None:
-        raise NotImplementedError
-
-
-class RepairWorkTable:
-    """One unit-exponential work requirement per component, drawn up front
-    from a seeded stream.  Every cursor replays the same requirements."""
-
-    def __init__(self, seed_seq: np.random.SeedSequence, n_components: int) -> None:
-        rng = np.random.default_rng(seed_seq)
-        self.draws = rng.standard_exponential(n_components)
-
-    def cursor(self) -> "WorkCursor":
-        return WorkCursor(self)
-
-
-class WorkCursor(DrawSource):
-    def __init__(self, table: RepairWorkTable) -> None:
-        self.remaining = table.draws.copy()
-
-    def remaining_unit(self, component_index: int) -> float:
-        return float(self.remaining[component_index])
-
-    def consume_unit(self, component_index: int, used: float) -> None:
-        self.remaining[component_index] -= used
 
 
 def initial_state(
@@ -188,13 +149,6 @@ def count_admissible(
     )
 
 
-def action_from_indices(n_components: int, indices: tuple[int, ...]) -> RepairAction:
-    assign = [False] * n_components
-    for i in indices:
-        assign[i] = True
-    return RepairAction(assign=tuple(assign))
-
-
 def check_admissible(
     state: RecoveryState,
     action: RepairAction,
@@ -202,28 +156,23 @@ def check_admissible(
     config: MdpConfig,
 ) -> None:
     """Raises InadmissibleAction unless the action is valid in this state."""
-    if len(action.assign) != community.n_components:
-        raise InadmissibleAction("assignment length must match component count")
-    damage = state.damage
-    network_of = community.network_of
-    l_e = l_w = n_epn = n_wn = 0
-    for i, assigned in enumerate(action.assign):
-        is_epn = network_of[i] is Network.EPN
-        if damage[i] != DamageState.NONE:
-            if is_epn:
-                l_e += 1
-                n_epn += assigned
-            else:
-                l_w += 1
-                n_wn += assigned
-        elif assigned:
+    indices = action.indices
+    if any(not 0 <= i < community.n_components for i in indices):
+        raise InadmissibleAction("component index out of range")
+    if any(a >= b for a, b in zip(indices, indices[1:])):
+        raise InadmissibleAction("indices must be ascending and distinct")
+    for i in indices:
+        if state.damage[i] == DamageState.NONE:
             raise InadmissibleAction(
                 f"component {community.components[i].id} is not damaged"
             )
-    if l_e == 0 and l_w == 0:
+    epn, wn = damaged_indices(state, community)
+    if not epn and not wn:
         raise InadmissibleAction("state is terminal; no admissible action exists")
-    want_e = min(config.n_e, l_e)
-    want_w = min(config.n_w, l_w)
+    n_epn = sum(community.network_of[i] is Network.EPN for i in indices)
+    n_wn = len(indices) - n_epn
+    want_e = min(config.n_e, len(epn))
+    want_w = min(config.n_w, len(wn))
     if n_epn != want_e or n_wn != want_w:
         raise InadmissibleAction(
             f"assignment uses ({n_epn}, {n_wn}) crews, expected ({want_e}, {want_w})"
@@ -247,34 +196,29 @@ def enumerate_actions(
     k_e = min(config.n_e, len(epn))
     k_w = min(config.n_w, len(wn))
     total = math.comb(len(epn), k_e) * math.comb(len(wn), k_w)
-    n = community.n_components
 
     if total <= cap:
-        actions = [
-            action_from_indices(n, e_sub + w_sub)
+        return [
+            RepairAction(tuple(sorted(e_sub + w_sub)))
             for e_sub in itertools.combinations(epn, k_e)
             for w_sub in itertools.combinations(wn, k_w)
         ]
-        return actions
 
     if rng is None:
         raise ValidationError(
             f"{total} admissible actions exceed cap {cap}; an rng is required "
             "for sampling"
         )
-    chosen: list[RepairAction] = []
-    seen: set[tuple[int, ...]] = set()
-    if must_include is not None:
-        chosen.append(must_include)
-        seen.add(must_include.assigned_indices())
+    chosen = [must_include] if must_include is not None else []
+    seen = {action.indices for action in chosen}
     while len(chosen) < cap:
-        e_sub = tuple(sorted(rng.choice(len(epn), size=k_e, replace=False)))
-        w_sub = tuple(sorted(rng.choice(len(wn), size=k_w, replace=False)))
-        indices = tuple(epn[i] for i in e_sub) + tuple(wn[i] for i in w_sub)
+        e_sub = rng.choice(len(epn), size=k_e, replace=False)
+        w_sub = rng.choice(len(wn), size=k_w, replace=False)
+        indices = tuple(sorted([epn[i] for i in e_sub] + [wn[i] for i in w_sub]))
         if indices in seen:
             continue
         seen.add(indices)
-        chosen.append(action_from_indices(n, indices))
+        chosen.append(RepairAction(indices))
     return chosen
 
 
@@ -320,30 +264,40 @@ def transition(
     action: RepairAction,
     community: Community,
     config: MdpConfig,
-    draws: DrawSource | None,
+    draws: list[float] | None,
 ) -> TransitionOutcome:
     """One decision epoch: run the assigned repairs until the first
     completion, repair the finisher(s), advance elapsed time, pay reward.
-    The action is not checked (see check_admissible).  The deterministic
+    The action is not checked (see check_admissible).
+
+    Under exponential repair times, draws[i] is component i's outstanding
+    repair requirement in unit-mean-exponential units.  Each assigned entry
+    is read once, and the non-finishers' entries are written back minus the
+    progress made.  Tracking the outstanding requirement across epochs is
+    distributionally identical to redrawing fresh times after every
+    preemption (memorylessness), but it lets two simulations that start
+    from copies of one list face exactly the same repair workloads, which
+    is what makes paired comparisons low-variance.  The deterministic
     repair model draws no noise, so draws may be None there."""
-    assigned = action.assigned_indices()
+    assigned = action.indices
     damage = list(state.damage)
 
     if config.repair_model is RepairModel.EXPONENTIAL:
         best_i = -1
         best_t = math.inf
-        means = []
+        work = []
         for i in assigned:
             mean = community.repair_means[i][int(damage[i])]
-            means.append(mean)
-            t = mean * draws.remaining_unit(i)
+            u = draws[i]
+            work.append((i, mean, u))
+            t = mean * u
             if t < best_t:
                 best_t = t
                 best_i = i
         completion = best_t
-        for i, mean in zip(assigned, means):
+        for i, mean, u in work:
             if i != best_i:
-                draws.consume_unit(i, completion / mean)
+                draws[i] = u - completion / mean
         damage[best_i] = DamageState.NONE
         repaired = frozenset((community.components[best_i].id,))
         next_remaining: tuple[float, ...] | None = None

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 import weakref
 from dataclasses import dataclass
@@ -31,14 +32,11 @@ from .community import (
 from .errors import InstanceTooLarge, TerminalState, ValidationError
 from .hazard import ComponentHazard, sample_initial_damage
 from .mdp import (
-    DrawSource,
     MdpConfig,
     Objective,
     RecoveryState,
     RepairAction,
     RepairModel,
-    RepairWorkTable,
-    WorkCursor,
     damaged_indices,
     enumerate_actions,
     initial_state,
@@ -61,6 +59,13 @@ _DEVIATION_Z = 2.0
 
 def keyed_seed(root_seed: int, *key: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=[int(root_seed), *key])
+
+
+def _repair_draws(n_components: int, root_seed: int, *key: int) -> list[float]:
+    """One unit-exponential repair requirement per component, drawn from
+    the stream keyed (root_seed, *key); see mdp.transition."""
+    rng = np.random.default_rng(keyed_seed(root_seed, *key))
+    return rng.standard_exponential(n_components).tolist()
 
 
 class RolloutMode(enum.Enum):
@@ -147,19 +152,18 @@ def base_action(
         ordered = sorted(indices, key=lambda i: (ranks[comps[i].kind], comps[i].id))
         return ordered[: min(budget, len(indices))]
 
-    assign = [False] * community.n_components
-    for i in pick(epn, config.n_e) + pick(wn, config.n_w):
-        assign[i] = True
-    action = RepairAction(assign=tuple(assign))
+    action = RepairAction(
+        tuple(sorted(pick(epn, config.n_e) + pick(wn, config.n_w)))
+    )
     memo[key] = action
     return action
 
 
 @dataclass(frozen=True)
 class RolloutConfig:
-    """Lookahead and sampling knobs.  horizon=None means the number of
-    initially damaged components, which keeps termination reachable inside
-    the lookahead."""
+    """Lookahead and sampling knobs.  horizon caps the base-policy steps
+    simulated after the first action; None runs every trajectory to a
+    terminal state."""
 
     horizon: int | None = None
     n_mc_min: int = 32
@@ -210,16 +214,17 @@ def trajectory_return(
     base_policy: PriorityBasePolicy,
     mdp: MdpConfig,
     community: Community,
-    horizon: int,
-    draws: DrawSource | None,
+    horizon: int | None,
+    draws: list[float] | None,
 ) -> float:
     """Discounted return of forcing first_action now and following the base
-    policy for up to horizon further steps, truncated at terminal states."""
+    policy for up to horizon further steps (unbounded when None), truncated
+    at terminal states."""
     outcome = transition(state, first_action, community, mdp, draws)
     total = outcome.reward
     x = outcome.next_state
     disc = 1.0
-    for _ in range(horizon):
+    for _ in itertools.count() if horizon is None else range(horizon):
         if is_terminal(x, community, mdp):
             break
         action = base_action(x, community, mdp, base_policy)
@@ -237,7 +242,6 @@ def estimate_q(
     rollout_config: RolloutConfig,
     mdp: MdpConfig,
     community: Community,
-    horizon: int,
     draws_for_trajectory,
 ) -> QEstimate:
     """Monte-Carlo Q-estimate with adaptive sample size: batches of
@@ -245,7 +249,9 @@ def estimate_q(
     se_threshold or n_mc_max is reached.  draws_for_trajectory(j) supplies
     the noise for trajectory j; sharing those across candidate actions is
     what implements common random numbers.  A deterministic repair model
-    needs a single trajectory."""
+    needs a single trajectory.  rollout_config.horizon bounds each
+    trajectory."""
+    horizon = rollout_config.horizon
     if mdp.repair_model is RepairModel.REMAINING_WORK:
         value = trajectory_return(
             state, action, base_policy, mdp, community, horizon, None
@@ -310,17 +316,13 @@ def rollout_decision(
     community: Community,
     root_seed: int,
     decision_index: int = 0,
-    horizon: int | None = None,
 ) -> tuple[RepairAction, DecisionRecord]:
     """One-step lookahead: enumerate candidate actions, estimate Q for each
-    under shared noise, return the argmax.  Ties go to the lexicographically
-    smallest assignment vector."""
-    if horizon is None:
-        horizon = rollout_config.horizon
-    if horizon is None:
-        epn, wn = damaged_indices(state, community)
-        horizon = len(epn) + len(wn)
-
+    under shared noise, return the argmax.  The base action is kept unless
+    the top estimate beats it by more than the tie band plus the paired
+    noise.  Among the candidates within the tie band of the top, the one
+    with the lexicographically largest indices wins, which puts crews on
+    the highest-index components."""
     base = base_action(state, community, mdp, base_policy)
     action_rng = np.random.default_rng(
         keyed_seed(root_seed, TAG_ACTION_SAMPLING, decision_index)
@@ -342,24 +344,23 @@ def rollout_decision(
         )
         return candidates[0], record
 
-    tables: dict[int, RepairWorkTable] = {}
+    tables: dict[int, list[float]] = {}
 
-    def draws_for_trajectory(j: int) -> WorkCursor:
+    def draws_for_trajectory(j: int) -> list[float]:
         table = tables.get(j)
         if table is None:
-            table = RepairWorkTable(
-                keyed_seed(root_seed, TAG_TRAJECTORY, decision_index, j),
-                community.n_components,
+            table = tables[j] = _repair_draws(
+                community.n_components, root_seed, TAG_TRAJECTORY,
+                decision_index, j,
             )
-            tables[j] = table
-        return table.cursor()
+        return table.copy()
 
     scored: list[tuple[RepairAction, QEstimate]] = []
     base_est: QEstimate | None = None
     for action in candidates:
         est = estimate_q(
             state, action, base_policy, rollout_config, mdp, community,
-            horizon, draws_for_trajectory,
+            draws_for_trajectory,
         )
         scored.append((action, est))
         if action == base:
@@ -368,7 +369,7 @@ def rollout_decision(
     # noise, else Monte-Carlo flutter would erode the not-worse guarantee.
     # Noise is the paired standard error against the base estimate (the
     # candidates shared their trajectory tables), plus a resolution band;
-    # within the band, ties go to the lexicographically smallest vector.
+    # within the band, ties go to the lexicographically largest indices.
     top_action, top_est = max(scored, key=lambda pair: pair[1].value)
     top = top_est.value
     band = _TIE_BAND_REL * max(1.0, abs(top))
@@ -381,7 +382,7 @@ def rollout_decision(
         best_action = base
     else:
         tied = [(action, est) for action, est in scored if est.value >= top - band]
-        best_action, _ = min(tied, key=lambda pair: pair[0].assign)
+        best_action, _ = max(tied, key=lambda pair: pair[0].indices)
     record = DecisionRecord(
         index=decision_index,
         elapsed_time=state.elapsed_time,
@@ -483,15 +484,13 @@ def run_episode(
     draw table keyed only by (root_seed, episode_index), so base and rollout
     runs of the same episode face identical repair-time randomness."""
     state = initial_state(community, damage, mdp)
-    table = RepairWorkTable(
-        keyed_seed(root_seed, TAG_EPISODE_REPAIR, episode_index),
-        community.n_components,
+    env_draws = (
+        _repair_draws(
+            community.n_components, root_seed, TAG_EPISODE_REPAIR, episode_index
+        )
+        if mdp.repair_model is RepairModel.EXPONENTIAL
+        else None
     )
-    env_draws = table.cursor()
-    epn0, wn0 = damaged_indices(state, community)
-    horizon = rollout_config.horizon
-    if horizon is None:
-        horizon = len(epn0) + len(wn0)
 
     retailer_recovery = [math.inf] * len(community.retailers)
     points = [_observe(community, state, retailer_recovery)]
@@ -506,7 +505,6 @@ def run_episode(
                 state, base_policy, rollout_config, mdp, community,
                 root_seed=root_seed,
                 decision_index=episode_index * 10_000 + k,
-                horizon=horizon,
             )
             decisions.append(record)
         outcome = transition(state, action, community, mdp, env_draws)
@@ -516,9 +514,7 @@ def run_episode(
             StepRecord(
                 decision_index=k,
                 time_days=state.elapsed_time,
-                assigned=tuple(
-                    community.components[i].id for i in action.assigned_indices()
-                ),
+                assigned=tuple(community.components[i].id for i in action.indices),
                 repaired=tuple(sorted(outcome.repaired)),
                 reward=outcome.reward,
             )
@@ -613,13 +609,12 @@ def exhaustive_oracle(
                     "schedule enumeration exceeded the oracle bound"
                 )
             outcome = transition(state, action, community, mdp, None)
-            value, _ = search(
-                outcome.next_state, area + benefit_now * outcome.completion_time
-            )
+            elapsed = outcome.next_state.elapsed_time - state.elapsed_time
+            value, _ = search(outcome.next_state, area + benefit_now * elapsed)
             if sign * value < sign * best or (
                 value == best
                 and best_action is not None
-                and action.assign < best_action.assign
+                and action.indices > best_action.indices
             ):
                 best = value
                 best_action = action

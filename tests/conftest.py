@@ -24,7 +24,6 @@ from recovery_rollout.community import (
     functional_mask,
 )
 from recovery_rollout.mdp import (
-    DrawSource,
     MdpConfig,
     RecoveryState,
     RepairAction,
@@ -147,6 +146,17 @@ def random_dag_community(rng: np.random.Generator, max_nodes: int = 30) -> Commu
     return build_community(components, edges, cells, retailers)
 
 
+def functional_set(
+    community: Community, damage: tuple[DamageState, ...]
+) -> frozenset[int]:
+    """Ids of functional components under the given damage vector, read
+    off the package's mask."""
+    mask = functional_mask(community, damage)
+    return frozenset(
+        community.components[i].id for i in range(community.n_components) if mask[i]
+    )
+
+
 def iterative_removal_oracle(
     community: Community, damage: tuple[DamageState, ...]
 ) -> frozenset[int]:
@@ -218,17 +228,18 @@ def benefit_count(
     return total
 
 
-class FreshDraws(DrawSource):
-    """Memoryless form: every query redraws, progress is discarded.  The
-    per-step law is the same as the work-tracking form."""
+class FreshDraws:
+    """Memoryless stand-in for transition's noise list: every read redraws
+    and every write is discarded.  The per-step law is the same as the
+    work-tracking list's."""
 
     def __init__(self, rng: np.random.Generator) -> None:
         self.rng = rng
 
-    def remaining_unit(self, component_index: int) -> float:
+    def __getitem__(self, component_index: int) -> float:
         return float(self.rng.standard_exponential())
 
-    def consume_unit(self, component_index: int, used: float) -> None:
+    def __setitem__(self, component_index: int, value: float) -> None:
         pass
 
 
@@ -237,7 +248,7 @@ def step(
     action: RepairAction,
     community: Community,
     config: MdpConfig,
-    draws: DrawSource,
+    draws: list[float] | FreshDraws | None,
 ) -> TransitionOutcome:
     """transition with the admissibility check in front."""
     check_admissible(state, action, community, config)

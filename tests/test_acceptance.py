@@ -23,14 +23,13 @@ from recovery_rollout.community import (
     GridCell,
     Retailer,
     build_community,
-    functional_set,
 )
 from recovery_rollout.hazard import FragilitySet, damage_pmf, exceedance_prob
 from recovery_rollout.mdp import (
     MdpConfig,
     Objective,
+    RepairAction,
     RepairModel,
-    action_from_indices,
     count_admissible,
     damaged_indices,
     enumerate_actions,
@@ -53,6 +52,7 @@ from conftest import (
     comp,
     damage_for,
     desk_community,
+    functional_set,
     iterative_removal_oracle,
     random_dag_community,
 )
@@ -149,7 +149,7 @@ def test_criterion_02_parallel_repair_min_law(capsys):
     # substation means: MODERATE 3 days, EXTENSIVE 7 days
     damage = damage_for(community, {1: D.MODERATE, 2: D.EXTENSIVE})
     state = initial_state(community, damage, config)
-    action = action_from_indices(5, (0, 1))
+    action = RepairAction((0, 1))
     draws = FreshDraws(np.random.default_rng(2024))
 
     n = 100_000
@@ -195,7 +195,7 @@ def test_criterion_03_preemption_memoryless(capsys):
         while True:
             epn, _ = damaged_indices(state, community)
             outcome = transition(
-                state, action_from_indices(4, epn), community, config, draws
+                state, RepairAction(epn), community, config, draws
             )
             if 1 in outcome.repaired:
                 samples[i] = outcome.next_state.elapsed_time

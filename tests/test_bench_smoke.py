@@ -2,7 +2,8 @@
 
 bench/run.py records calls by rebinding module attributes, so it depends
 on function names, signatures, and call paths inside the package.  This
-test runs one short workload and checks that it ends in its JSON line."""
+test runs one short repetition of every workload and checks that each
+ends in its JSON line."""
 
 from __future__ import annotations
 
@@ -11,12 +12,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_mini_compare_benchmark_runs_clean():
+@pytest.mark.parametrize(
+    "workload", ["mini-compare", "mini-rate", "grid-large", "oracle-desk"]
+)
+def test_benchmark_runs_clean(workload):
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "mini-compare",
+        [sys.executable, "bench/run.py", "--workload", workload,
          "--seed", "1", "--seconds", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=600,
     )

@@ -15,7 +15,6 @@ from recovery_rollout.community import (
     benefit_for_damage,
     build_community,
     functional_mask,
-    functional_set,
     gravity_weights,
 )
 from recovery_rollout.errors import (
@@ -32,6 +31,7 @@ from conftest import (
     comp,
     damage_for,
     desk_community,
+    functional_set,
     iterative_removal_oracle,
     random_dag_community,
     service_status,

@@ -26,8 +26,6 @@ from recovery_rollout.mdp import (
     RecoveryState,
     RepairAction,
     RepairModel,
-    RepairWorkTable,
-    action_from_indices,
     count_admissible,
     coverage_fraction,
     damaged_indices,
@@ -101,7 +99,7 @@ def greedy_action(state, community, config):
     """Lowest-index assignment with the required crew counts per network."""
     epn, wn = damaged_indices(state, community)
     picks = epn[: min(config.n_e, len(epn))] + wn[: min(config.n_w, len(wn))]
-    return action_from_indices(community.n_components, picks)
+    return RepairAction(tuple(sorted(picks)))
 
 
 # --- admissible action counting ---------------------------------------------
@@ -169,6 +167,39 @@ def test_enumerate_capped_sampling():
     assert sample == again
 
 
+def test_sampled_candidates_hold_the_base_action_once():
+    """EPN and WN indices interleave here (wells and pipelines sit between
+    the distribution segments), so a sampled action must be compared with
+    the base action in ascending index order."""
+    components = [
+        comp(1, C.SUBSTATION),
+        comp(2, C.WELL),
+        comp(3, C.DISTRIBUTION_SEGMENT),
+        comp(4, C.PIPELINE),
+        comp(5, C.DISTRIBUTION_SEGMENT),
+        comp(6, C.PIPELINE),
+    ]
+    edges = [(1, 3), (1, 5), (2, 4), (2, 6)]
+    cells = [GridCell(id=1, population=100, centroid=(1.0, 0.0),
+                      power_feed=3, water_feed=4)]
+    retailers = [Retailer(id=1, capacity=10.0, centroid=(0.0, 1.0),
+                          power_feed=3, water_feed=4)]
+    community = build_community(components, edges, cells, retailers)
+    config = MdpConfig(n_e=1, n_w=1)
+    damage = damage_for(community, {cid: D.MINOR for cid in range(2, 7)})
+    state = initial_state(community, damage, config)
+    assert count_admissible(state, community, config) == 6
+    base = greedy_action(state, community, config)
+    assert base.indices == (1, 2)
+    for seed in range(50):
+        sample = enumerate_actions(
+            state, community, config, cap=5,
+            rng=np.random.default_rng(seed), must_include=base,
+        )
+        assert len({a.indices for a in sample}) == 5, seed
+        assert sample.count(base) == 1, seed
+
+
 def test_enumerate_terminal_state_raises():
     community = two_utility_community()
     config = MdpConfig(n_e=1, n_w=1)
@@ -186,7 +217,7 @@ def test_assigning_undamaged_component_rejected():
     state = initial_state(
         community, damage_for(community, {1: D.MINOR, 3: D.MINOR}), config
     )
-    bad = action_from_indices(4, (1, 2))  # component 2 is undamaged
+    bad = RepairAction((1, 2))  # component 2 is undamaged
     with pytest.raises(InadmissibleAction, match="not damaged"):
         step(state, bad, community, config, FreshDraws(np.random.default_rng(0)))
 
@@ -195,7 +226,7 @@ def test_wrong_crew_count_rejected():
     community = ladder_community(n_dists=3, n_pipes=1)
     config = MdpConfig(n_e=2, n_w=1)
     state = initial_state(community, all_damaged(community), config)
-    short = action_from_indices(community.n_components, (0, 4))  # 1 EPN, 1 WN
+    short = RepairAction((0, 4))  # 1 EPN, 1 WN
     with pytest.raises(InadmissibleAction, match="crews"):
         step(state, short, community, config, FreshDraws(np.random.default_rng(0)))
 
@@ -204,19 +235,26 @@ def test_terminal_state_has_no_admissible_action():
     community = two_utility_community()
     config = MdpConfig(n_e=1, n_w=1)
     state = initial_state(community, damage_for(community, {}), config)
-    noop = RepairAction(assign=(False,) * 4)
+    noop = RepairAction(())
     with pytest.raises(InadmissibleAction, match="terminal"):
         step(state, noop, community, config, FreshDraws(np.random.default_rng(0)))
 
 
-def test_assignment_length_must_match():
+@pytest.mark.parametrize(
+    "indices",
+    [(0, 4), (2, 0), (0, 0)],
+    ids=["out-of-range", "unsorted", "repeated"],
+)
+def test_malformed_indices_rejected(indices):
     community = two_utility_community()
     config = MdpConfig(n_e=1, n_w=1)
-    state = initial_state(community, damage_for(community, {1: D.MINOR}), config)
+    state = initial_state(
+        community, damage_for(community, {1: D.MINOR, 3: D.MINOR}), config
+    )
     with pytest.raises(InadmissibleAction):
         step(
             state,
-            RepairAction(assign=(True,)),
+            RepairAction(indices),
             community,
             config,
             FreshDraws(np.random.default_rng(0)),
@@ -231,7 +269,7 @@ def test_exponential_completion_replays_raw_draw():
     config = MdpConfig(n_e=1, n_w=1)
     # substation EXTENSIVE repairs in mean 7 days
     state = initial_state(community, damage_for(community, {1: D.EXTENSIVE}), config)
-    action = action_from_indices(4, (0,))
+    action = RepairAction((0,))
     outcome = step(state, action, community, config,
                    FreshDraws(np.random.default_rng(5)))
     expected = 7.0 * float(np.random.default_rng(5).standard_exponential())
@@ -254,14 +292,19 @@ def test_exponential_repairs_exactly_one():
     assert after == before - 1
 
 
-def test_work_table_cursor_consumption():
-    table = RepairWorkTable(np.random.SeedSequence(21), 4)
-    cursor = table.cursor()
-    first = cursor.remaining_unit(2)
-    cursor.consume_unit(2, 0.25)
-    assert cursor.remaining_unit(2) == pytest.approx(first - 0.25, rel=1e-12)
-    # a fresh cursor replays the untouched table
-    assert table.cursor().remaining_unit(2) == pytest.approx(first, rel=1e-12)
+def test_exponential_transition_writes_back_outstanding_work():
+    community = two_utility_community()
+    config = MdpConfig(n_e=1, n_w=1)
+    damage = damage_for(community, {1: D.EXTENSIVE, 3: D.EXTENSIVE})
+    state = initial_state(community, damage, config)
+    well_mean = community.repair_means[2][int(D.EXTENSIVE)]
+    draws = [0.1, 0.5, 10.0, 0.5]
+    outcome = step(state, RepairAction((0, 2)), community, config, draws)
+    # substation EXTENSIVE repairs in mean 7 days and finishes first
+    assert outcome.completion_time == 7.0 * 0.1
+    assert outcome.repaired == frozenset({1})
+    # the finisher's entry is left as read; the well's keeps its remainder
+    assert draws == [0.1, 0.5, 10.0 - outcome.completion_time / well_mean, 0.5]
 
 
 def test_remaining_work_initialization():
@@ -294,7 +337,7 @@ def test_remaining_work_simultaneous_completion():
     # both pipelines MODERATE: equal 1.0-day workloads finish together
     damage = damage_for(community, {4: D.MODERATE, 5: D.MODERATE})
     state = initial_state(community, damage, config)
-    action = action_from_indices(5, (3, 4))
+    action = RepairAction((3, 4))
     outcome = step(state, action, community, config,
                    FreshDraws(np.random.default_rng(0)))
     assert outcome.completion_time == pytest.approx(1.0, abs=1e-12)
@@ -309,7 +352,7 @@ def test_remaining_work_partial_progress():
     # crew per network, both assigned, power finishes first
     damage = damage_for(community, {1: D.MODERATE, 3: D.COMPLETE})
     state = initial_state(community, damage, config)
-    action = action_from_indices(4, (0, 2))
+    action = RepairAction((0, 2))
     outcome = step(state, action, community, config,
                    FreshDraws(np.random.default_rng(0)))
     assert outcome.completion_time == pytest.approx(3.0, abs=1e-12)

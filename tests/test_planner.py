@@ -21,9 +21,8 @@ from recovery_rollout.hazard import ComponentHazard
 from recovery_rollout.mdp import (
     MdpConfig,
     Objective,
+    RepairAction,
     RepairModel,
-    RepairWorkTable,
-    action_from_indices,
     initial_state,
 )
 from recovery_rollout.planner import (
@@ -34,10 +33,10 @@ from recovery_rollout.planner import (
     RestorationCurve,
     RolloutConfig,
     RolloutMode,
+    _repair_draws,
     base_action,
     estimate_q,
     exhaustive_oracle,
-    keyed_seed,
     oracle_gap,
     rollout_decision,
     run_episode,
@@ -188,8 +187,8 @@ def test_base_action_memoized():
 def test_trajectory_return_hand_computed():
     community = junk_pair_community()
     state = initial_state(community, damage_for(community, JUNK_DAMAGE), JUNK_MDP)
-    junk_first = action_from_indices(5, (1,))
-    good_first = action_from_indices(5, (2,))
+    junk_first = RepairAction((1,))
+    good_first = RepairAction((2,))
     # repairing the dead end first: 4 days, then 3 more for the real feed
     assert trajectory_return(
         state, junk_first, BASE, JUNK_MDP, community, horizon=5, draws=None
@@ -204,7 +203,7 @@ def test_trajectory_return_discounting_and_truncation():
     mdp = MdpConfig(n_e=1, n_w=1, gamma=0.5, alpha=1.0,
                     repair_model=RepairModel.REMAINING_WORK)
     state = initial_state(community, damage_for(community, JUNK_DAMAGE), mdp)
-    junk_first = action_from_indices(5, (1,))
+    junk_first = RepairAction((1,))
     # first transition undiscounted, the follow-up step scaled by gamma
     assert trajectory_return(
         state, junk_first, BASE, mdp, community, horizon=5, draws=None
@@ -212,14 +211,18 @@ def test_trajectory_return_discounting_and_truncation():
     assert trajectory_return(
         state, junk_first, BASE, mdp, community, horizon=0, draws=None
     ) == pytest.approx(-4.0)
+    # no horizon: run to the terminal state
+    assert trajectory_return(
+        state, junk_first, BASE, mdp, community, horizon=None, draws=None
+    ) == pytest.approx(-4.0 + 0.5 * -3.0)
 
 
 def test_estimate_q_deterministic_single_trajectory():
     community = junk_pair_community()
     state = initial_state(community, damage_for(community, JUNK_DAMAGE), JUNK_MDP)
     est = estimate_q(
-        state, action_from_indices(5, (2,)), BASE, RolloutConfig(), JUNK_MDP,
-        community, horizon=5, draws_for_trajectory=lambda j: None,
+        state, RepairAction((2,)), BASE, RolloutConfig(), JUNK_MDP,
+        community, draws_for_trajectory=lambda j: None,
     )
     assert est == QEstimate(value=-3.0, std_error=0.0, n_trajectories=1,
                             returns=(-3.0,))
@@ -230,11 +233,10 @@ def _table_draws(community, root_seed=0, decision=0):
 
     def draws_for_trajectory(j):
         if j not in tables:
-            tables[j] = RepairWorkTable(
-                keyed_seed(root_seed, TAG_TRAJECTORY, decision, j),
-                community.n_components,
+            tables[j] = _repair_draws(
+                community.n_components, root_seed, TAG_TRAJECTORY, decision, j
             )
-        return tables[j].cursor()
+        return tables[j].copy()
 
     return draws_for_trajectory
 
@@ -243,17 +245,17 @@ def test_estimate_q_adaptive_batching():
     community = detour_community()
     mdp = detour_mdp(RepairModel.EXPONENTIAL)
     state = initial_state(community, damage_for(community, DETOUR_DAMAGE), mdp)
-    action = action_from_indices(5, (3, 4))
+    action = RepairAction((3, 4))
 
     tight = RolloutConfig(n_mc_min=8, n_mc_max=64, se_threshold=1e-6)
-    est = estimate_q(state, action, BASE, tight, mdp, community, 5,
+    est = estimate_q(state, action, BASE, tight, mdp, community,
                      _table_draws(community))
     assert est.n_trajectories == 64
     assert len(est.returns) == 64
     assert est.value == pytest.approx(float(np.mean(est.returns)))
 
     loose = RolloutConfig(n_mc_min=8, n_mc_max=64, se_threshold=1e9)
-    est = estimate_q(state, action, BASE, loose, mdp, community, 5,
+    est = estimate_q(state, action, BASE, loose, mdp, community,
                      _table_draws(community))
     assert est.n_trajectories == 8
     assert est.std_error < 1e9
@@ -263,17 +265,33 @@ def test_worst_case_value_is_minimum_return():
     community = detour_community()
     mdp = detour_mdp(RepairModel.EXPONENTIAL)
     state = initial_state(community, damage_for(community, DETOUR_DAMAGE), mdp)
-    action = action_from_indices(5, (3, 4))
+    action = RepairAction((3, 4))
     config = RolloutConfig(n_mc_min=16, n_mc_max=16, se_threshold=1e9,
                            mode=RolloutMode.WORST_CASE)
-    worst = estimate_q(state, action, BASE, config, mdp, community, 5,
+    worst = estimate_q(state, action, BASE, config, mdp, community,
                        _table_draws(community, root_seed=3))
     mean_cfg = RolloutConfig(n_mc_min=16, n_mc_max=16, se_threshold=1e9)
-    mean = estimate_q(state, action, BASE, mean_cfg, mdp, community, 5,
+    mean = estimate_q(state, action, BASE, mean_cfg, mdp, community,
                       _table_draws(community, root_seed=3))
     assert worst.returns == mean.returns  # shared tables, same trajectories
     assert worst.value == pytest.approx(min(worst.returns))
     assert worst.value <= mean.value + 1e-12
+
+
+def test_estimate_q_replays_shared_draws():
+    """Each trajectory starts from a copy of its table, so estimating the
+    same action twice through one draws_for_trajectory replays the same
+    returns."""
+    community = detour_community()
+    mdp = detour_mdp(RepairModel.EXPONENTIAL)
+    state = initial_state(community, damage_for(community, DETOUR_DAMAGE), mdp)
+    action = RepairAction((3, 4))
+    config = RolloutConfig(n_mc_min=16, n_mc_max=16, se_threshold=1e9)
+    draws = _table_draws(community, root_seed=8)
+    first = estimate_q(state, action, BASE, config, mdp, community, draws)
+    second = estimate_q(state, action, BASE, config, mdp, community, draws)
+    assert first.returns == second.returns
+    assert len(set(first.returns)) > 1
 
 
 def test_rollout_config_validation():

@@ -8,7 +8,12 @@ import importlib.util
 import re
 from pathlib import Path
 
+import numpy as np
+
 import recovery_rollout
+from recovery_rollout.mdp import initial_state, is_terminal
+from recovery_rollout.planner import PolicyKind, exhaustive_oracle, run_episode
+from recovery_rollout.scenario import load_scenario
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 DEMO = str(Path(recovery_rollout.__file__).parent / "data" / "oracle_demo.yaml")
@@ -40,3 +45,29 @@ def test_oracle_gap_reports_nonnegative_gaps(capsys):
     assert match, out
     assert float(match.group(1)) >= 0.0
     assert float(match.group(2)) >= 0.0
+
+
+def test_oracle_rate_never_beaten_on_script_instances(tmp_path):
+    """Under max_benefit_rate the oracle sums its area over the same
+    segments as the restoration curve, so rollout never reads above the
+    optimum, not even in the last bits."""
+    script = load_script("oracle_gap")
+    text = Path(DEMO).read_text()
+    rate_copy = tmp_path / "oracle_demo_rate.yaml"
+    rate_copy.write_text(
+        text.replace("objective: min_time_to_coverage", "objective: max_benefit_rate")
+    )
+    scenario = load_scenario(str(rate_copy))
+    community, mdp = scenario.community, scenario.mdp
+    rng = np.random.default_rng(0)
+    for i in range(50):
+        while True:
+            damage = script.random_damage(community, rng, 6)
+            if not is_terminal(initial_state(community, damage, mdp), community, mdp):
+                break
+        optimum, _ = exhaustive_oracle(damage, community, mdp)
+        result = run_episode(
+            PolicyKind.ROLLOUT, damage, community, mdp, scenario.rollout,
+            scenario.base_policy, root_seed=i,
+        )
+        assert result.metric(mdp.objective) <= optimum, i
