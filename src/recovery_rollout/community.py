@@ -91,7 +91,6 @@ class Component:
     id: int
     kind: ComponentClass
     mean_repair_days: dict[DamageState, float]
-    location: tuple[float, float] | None = None
     any_supplier: bool = False
 
     @property
@@ -146,7 +145,8 @@ class Community:
     AND-dependencies unless the dependent is an OR-junction.
 
     Construct through :func:`build_community`; attributes are read-only by
-    convention.
+    convention.  The per-damage memos (benefit, and the planner's base
+    action) are plain dicts on the community, so they live and die with it.
     """
 
     def __init__(
@@ -214,16 +214,15 @@ class Community:
         self.total_population: int = sum(self.populations)
 
         self.weights: tuple[tuple[float, ...], ...] = gravity_weights(self)
-        # memo for benefit_for_damage_cached; damage vectors recur heavily
-        # across simulated trajectories
+        # damage vectors recur heavily across simulated trajectories:
+        # benefit_for_damage_cached memoizes by damage vector, and
+        # planner.base_action by (damage, n_e, n_w, policy)
         self._benefit_cache: dict[tuple[DamageState, ...], float] = {}
+        self._base_action_cache: dict[tuple, object] = {}
 
     @property
     def n_components(self) -> int:
         return len(self.components)
-
-    def component(self, component_id: int) -> Component:
-        return self.components[self.index_of[component_id]]
 
     def _validate_edges(self) -> None:
         for supplier, dependent in self.edges:
@@ -353,8 +352,12 @@ def gravity_weights(community: Community) -> tuple[tuple[float, ...], ...]:
     return tuple(rows)
 
 
-def benefit_from_mask(community: Community, mask: list[bool]) -> float:
-    """Benefit count from a precomputed functionality mask."""
+def benefit_for_damage(
+    community: Community, damage: tuple[DamageState, ...]
+) -> float:
+    """Benefit count straight from a damage vector, uncached: the miss path
+    of benefit_for_damage_cached, which every package reader goes through."""
+    mask = functional_mask(community, damage)
     ret_ok = [
         mask[community.ret_power_idx[ri]] and mask[community.ret_water_idx[ri]]
         for ri in range(len(community.retailers))
@@ -372,13 +375,6 @@ def benefit_from_mask(community: Community, mask: list[bool]) -> float:
                     served += row[ri]
             total += community.populations[ci] * served
     return total
-
-
-def benefit_for_damage(
-    community: Community, damage: tuple[DamageState, ...]
-) -> float:
-    """Fused fast path: benefit count straight from a damage vector."""
-    return benefit_from_mask(community, functional_mask(community, damage))
 
 
 def benefit_for_damage_cached(

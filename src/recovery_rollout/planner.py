@@ -11,10 +11,8 @@ depend on execution order.
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +22,7 @@ from .community import (
     ComponentClass,
     DamageState,
     Network,
-    benefit_for_damage,
-    benefit_from_mask,
+    benefit_for_damage_cached,
     fractions_from_mask,
     functional_mask,
 )
@@ -112,22 +109,6 @@ class PriorityBasePolicy:
             )
 
 
-@functools.lru_cache(maxsize=None)
-def _rank_of(policy: PriorityBasePolicy) -> dict[ComponentClass, int]:
-    ranks: dict[ComponentClass, int] = {}
-    for order in (policy.epn_priority, policy.wn_priority):
-        for rank, kind in enumerate(order):
-            ranks[kind] = rank
-    return ranks
-
-
-# base actions depend only on (damage, crew counts, policy); trajectories
-# revisit the same damage vectors constantly, so memoize per community
-_base_action_memo: "weakref.WeakKeyDictionary[Community, dict]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def base_action(
     state: RecoveryState,
     community: Community,
@@ -135,8 +116,10 @@ def base_action(
     policy: PriorityBasePolicy,
 ) -> RepairAction:
     """Assign each network's crews to its highest-priority damaged
-    components."""
-    memo = _base_action_memo.setdefault(community, {})
+    components.  Memoized on the community: the action depends only on
+    (damage, crew counts, policy), and trajectories revisit the same damage
+    vectors constantly."""
+    memo = community._base_action_cache
     key = (state.damage, config.n_e, config.n_w, policy)
     cached = memo.get(key)
     if cached is not None:
@@ -145,7 +128,11 @@ def base_action(
     epn, wn = damaged_indices(state, community)
     if not epn and not wn:
         raise TerminalState("no damaged components; no base action exists")
-    ranks = _rank_of(policy)
+    ranks = {
+        kind: rank
+        for order in (policy.epn_priority, policy.wn_priority)
+        for rank, kind in enumerate(order)
+    }
     comps = community.components
 
     def pick(indices: tuple[int, ...], budget: int) -> list[int]:
@@ -464,7 +451,7 @@ def _observe(
     epn_frac, wn_frac = fractions_from_mask(community, mask)
     return (
         state.elapsed_time,
-        benefit_from_mask(community, mask),
+        benefit_for_damage_cached(community, state.damage),
         epn_frac,
         wn_frac,
     )
@@ -594,14 +581,14 @@ def exhaustive_oracle(
             if minimize:
                 return state.elapsed_time, None
             if state.elapsed_time == 0.0:
-                return benefit_for_damage(community, state.damage), None
+                return benefit_for_damage_cached(community, state.damage), None
             return area / state.elapsed_time, None
         best = math.inf * sign
         best_action: RepairAction | None = None
         actions = enumerate_actions(
             state, community, mdp, cap=_ORACLE_MAX_SCHEDULES
         )
-        benefit_now = benefit_for_damage(community, state.damage)
+        benefit_now = benefit_for_damage_cached(community, state.damage)
         for action in actions:
             visited[0] += 1
             if visited[0] > _ORACLE_MAX_SCHEDULES:

@@ -109,12 +109,10 @@ def _parse_component(raw: Any, path: str) -> Component:
     kind = _lookup(
         _CLASS_NAMES, _get(raw, "class", path), f"{path}.class", "component class"
     )
-    location = raw.get("location")
     return Component(
         id=_integer(_get(raw, "id", path), f"{path}.id"),
         kind=kind,
         mean_repair_days=_parse_repair_days(raw.get("repair_days"), kind, path),
-        location=_point(location, f"{path}.location") if location is not None else None,
         any_supplier=bool(raw.get("any_supplier", False)),
     )
 

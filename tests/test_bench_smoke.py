@@ -3,11 +3,13 @@
 bench/run.py records calls by rebinding module attributes, so it depends
 on function names, signatures, and call paths inside the package.  This
 test runs one short repetition of every workload and checks that each
-ends in its JSON line."""
+writes nothing to stderr and ends in a strict JSON line (no NaN or
+Infinity) whose end-to-end metrics are finite and positive."""
 
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +17,11 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+END_TO_END = ("setup_s", "ops_per_s", "decision_ms_mean", "peak_rss_mb")
+
+
+def reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
 
 
 @pytest.mark.parametrize(
@@ -27,6 +34,12 @@ def test_benchmark_runs_clean(workload):
         cwd=ROOT, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
+    assert proc.stderr == ""
+    result = json.loads(
+        proc.stdout.splitlines()[-1], parse_constant=reject_constant
+    )
     assert result["correct"] is True
     assert result["failed"] == 0
+    for name in END_TO_END:
+        value = result["metrics"][name]["value"]
+        assert math.isfinite(value) and value > 0, (name, value)

@@ -62,7 +62,10 @@ def test_minimal_power_chain_builds():
         gravity_exponent=2.0,
     )
     assert community.n_components == 3
-    assert community.component(2).kind is ComponentClass.DISTRIBUTION_SEGMENT
+    assert (
+        community.components[community.index_of[2]].kind
+        is ComponentClass.DISTRIBUTION_SEGMENT
+    )
 
 
 def test_dependency_cycle_rejected():

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -149,13 +149,17 @@ def test_pmf_sums_to_one(im, first_median, step):
     st.floats(min_value=0.05, max_value=2.0),
     st.floats(min_value=0.05, max_value=2.0),
 )
+@example(im_a=0.05, im_b=0.05000000000000001)
 @settings(max_examples=50, deadline=None)
 def test_exceedance_monotone_in_im(im_a, im_b):
+    # adjacent floats can round to the same z, so strictness holds only
+    # once the intensities are more than a relative 1e-6 apart
     c = curve(DamageState.MODERATE, median=0.5, beta=0.4)
     lo, hi = sorted((im_a, im_b))
-    if lo == hi:
-        return
-    assert exceedance_prob(lo, c) < exceedance_prob(hi, c)
+    p_lo, p_hi = exceedance_prob(lo, c), exceedance_prob(hi, c)
+    assert p_lo <= p_hi
+    if hi > lo * (1 + 1e-6):
+        assert p_lo < p_hi
 
 
 def test_hazard_needs_exactly_one_form():

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import recovery_rollout
+from recovery_rollout import community as community_module
 from recovery_rollout.community import (
     ComponentClass,
     DamageState,
@@ -43,6 +49,7 @@ from recovery_rollout.planner import (
     run_episodes,
     trajectory_return,
 )
+from recovery_rollout.scenario import load_scenario
 
 from conftest import comp, damage_for, desk_community, two_utility_community
 
@@ -606,3 +613,45 @@ def test_oracle_guards_instance_size():
     damage = damage_for(community, {cid: D.MINOR for cid in range(1, 10)})
     with pytest.raises(InstanceTooLarge):
         exhaustive_oracle(damage, community, mdp)
+
+
+def test_oracle_computes_each_benefit_once(monkeypatch):
+    scenario = load_scenario(
+        str(Path(recovery_rollout.__file__).parent / "data" / "oracle_demo.yaml")
+    )
+    community, mdp = scenario.community, scenario.mdp
+    rng = np.random.default_rng(0)
+    damage = tuple(
+        D(int(s)) for s in rng.integers(1, 5, size=community.n_components)
+    )
+    real_mask = community_module.functional_mask
+    calls = [0]
+
+    def counting_mask(*args):
+        calls[0] += 1
+        return real_mask(*args)
+
+    monkeypatch.setattr(community_module, "functional_mask", counting_mask)
+    cached_before = len(community._benefit_cache)
+    exhaustive_oracle(damage, community, mdp)
+    new_entries = len(community._benefit_cache) - cached_before
+    assert new_entries > 1
+    assert calls[0] == new_entries
+
+
+def test_planner_keeps_no_community_alive():
+    def plan_on_fresh_community():
+        community = desk_community()
+        damage = damage_for(community, {1: D.MINOR, 5: D.MODERATE})
+        det = MdpConfig(n_e=1, n_w=1, alpha=1.0,
+                        repair_model=RepairModel.REMAINING_WORK)
+        state = initial_state(community, damage, det)
+        base_action(state, community, det, BASE)
+        rollout_decision(state, BASE, RolloutConfig(), det, community,
+                         root_seed=0)
+        exhaustive_oracle(damage, community, det)
+        return weakref.ref(community)
+
+    ref = plan_on_fresh_community()
+    gc.collect()
+    assert ref() is None
