@@ -9,7 +9,6 @@ from .community import (
     GridCell,
     Network,
     Retailer,
-    build_community,
     gravity_weights,
 )
 from .hazard import (

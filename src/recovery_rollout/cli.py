@@ -10,14 +10,14 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .community import DamageState
 from .errors import RecoveryError, ValidationError
-from .mdp import MdpConfig, Objective, RepairModel
+from .mdp import Objective, RepairModel
 from .planner import (
     EpisodeResult,
     PolicyKind,
@@ -47,39 +47,27 @@ def _metric_label(objective: Objective) -> str:
     return "persons_per_day"
 
 
-@dataclass(frozen=True)
-class RunReport:
-    """Per-policy episode metrics plus the configuration echo, before
-    rendering."""
-
-    scenario_name: str
-    seed: int
-    episodes: int
-    mdp: MdpConfig
-    rollout: RolloutConfig
-    metrics: dict[str, list[float]]
-
-    def mean_stderr(self, policy: str) -> tuple[float, float]:
-        values = self.metrics[policy]
-        mean = float(np.mean(values))
-        if len(values) < 2:
-            return mean, 0.0
-        return mean, float(np.std(values, ddof=1)) / math.sqrt(len(values))
+def _mean_stderr(values: list[float]) -> tuple[float, float]:
+    mean = float(np.mean(values))
+    if len(values) < 2:
+        return mean, 0.0
+    return mean, float(np.std(values, ddof=1)) / math.sqrt(len(values))
 
 
-def _config_lines(report: RunReport) -> list[str]:
-    mdp, rollout = report.mdp, report.rollout
+def _config_lines(
+    scenario: Scenario, seed: int, episodes: int, rollout: RolloutConfig
+) -> list[str]:
+    mdp = scenario.mdp
     return [
-        f"scenario = {report.scenario_name}",
-        f"seed = {report.seed}",
-        f"episodes = {report.episodes}",
+        f"scenario = {scenario.name}",
+        f"seed = {seed}",
+        f"episodes = {episodes}",
         f"n_e = {mdp.n_e}",
         f"n_w = {mdp.n_w}",
         f"gamma = {_fmt(mdp.gamma)}",
         f"objective = {mdp.objective.value}",
         f"alpha = {_fmt(mdp.alpha)}",
         f"repair_model = {mdp.repair_model.value}",
-        f"horizon = {'auto' if rollout.horizon is None else rollout.horizon}",
         f"n_mc_min = {rollout.n_mc_min}",
         f"n_mc_max = {rollout.n_mc_max}",
         f"se_threshold = {_fmt(rollout.se_threshold)}",
@@ -138,22 +126,14 @@ def cmd_plan(args: argparse.Namespace) -> int:
         scenario.base_policy, n_episodes=args.episodes, root_seed=seed,
     )
     metrics = [res.metric(scenario.mdp.objective) for res in results]
-    report = RunReport(
-        scenario_name=scenario.name,
-        seed=seed,
-        episodes=args.episodes,
-        mdp=scenario.mdp,
-        rollout=rollout_cfg,
-        metrics={policy.value: metrics},
-    )
     out = Path(args.out)
     for ep, res in enumerate(results):
         _write(out / f"curve_{policy.value}_ep{ep}.csv", _curve_text(res.curve))
     _write(out / f"trace_{policy.value}.txt", _trace_text(results))
 
-    mean, stderr = report.mean_stderr(policy.value)
+    mean, stderr = _mean_stderr(metrics)
     label = _metric_label(scenario.mdp.objective)
-    lines = _config_lines(report)
+    lines = _config_lines(scenario, seed, args.episodes, rollout_cfg)
     lines.append(f"policy = {policy.value}")
     for ep, m in enumerate(metrics):
         lines.append(f"episode {ep} {label} = {_fmt(m)}")
@@ -187,16 +167,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     )
     base_metrics = [res.metric(scenario.mdp.objective) for res in base_results]
     roll_metrics = [res.metric(scenario.mdp.objective) for res in roll_results]
-    report = RunReport(
-        scenario_name=scenario.name,
-        seed=seed,
-        episodes=args.episodes,
-        mdp=scenario.mdp,
-        rollout=rollout_cfg,
-        metrics={"base": base_metrics, "rollout": roll_metrics},
-    )
-    base_mean, base_se = report.mean_stderr("base")
-    roll_mean, roll_se = report.mean_stderr("rollout")
+    base_mean, base_se = _mean_stderr(base_metrics)
+    roll_mean, roll_se = _mean_stderr(roll_metrics)
     if base_mean == 0.0:
         improvement = 0.0
     elif scenario.mdp.objective is Objective.MIN_TIME_TO_COVERAGE:
@@ -205,7 +177,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         improvement = (roll_mean - base_mean) / base_mean * 100.0
 
     label = _metric_label(scenario.mdp.objective)
-    lines = _config_lines(report)
+    lines = _config_lines(scenario, seed, args.episodes, rollout_cfg)
     lines.append(f"metric = {label}")
     for ep in range(args.episodes):
         lines.append(

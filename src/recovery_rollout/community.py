@@ -144,9 +144,10 @@ class Community:
     simulation.  Edges run supplier -> dependent and are hard
     AND-dependencies unless the dependent is an OR-junction.
 
-    Construct through :func:`build_community`; attributes are read-only by
-    convention.  The per-damage memos (benefit, and the planner's base
-    action) are plain dicts on the community, so they live and die with it.
+    Construction raises a ValidationError subclass on any broken invariant;
+    attributes are read-only by convention.  The per-damage memos (benefit,
+    and the planner's base action) are plain dicts on the community, so
+    they live and die with it.
     """
 
     def __init__(
@@ -286,24 +287,6 @@ class Community:
                 f"{owner} {owner_id}: {network.value} feed points at a "
                 f"{actual.value} component ({feed})"
             )
-
-
-def build_community(
-    components: list[Component],
-    edges: list[tuple[int, int]],
-    cells: list[GridCell],
-    retailers: list[Retailer],
-    gravity_exponent: float = 2.0,
-) -> Community:
-    """Validate and assemble a community; raises a ValidationError subclass
-    on any broken invariant."""
-    return Community(
-        components=components,
-        edges=edges,
-        cells=cells,
-        retailers=retailers,
-        gravity_exponent=gravity_exponent,
-    )
 
 
 def functional_mask(

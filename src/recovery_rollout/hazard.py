@@ -136,12 +136,15 @@ def sample_initial_damage(
     draws = rng.random(community.n_components)
     states: list[DamageState] = []
     for pmf, u in zip(pmfs, draws):
+        # a pmf may sum to 1 - 1e-9, so u can land past the accumulated
+        # mass; it then falls to the last state with positive mass
         acc = 0.0
-        chosen = DamageState.COMPLETE
         for state in DamageState:
-            acc += pmf[int(state)]
-            if u < acc:
+            p = pmf[int(state)]
+            if p > 0.0:
                 chosen = state
-                break
+                acc += p
+                if u < acc:
+                    break
         states.append(chosen)
     return tuple(states)

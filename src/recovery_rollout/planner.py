@@ -11,7 +11,6 @@ depend on execution order.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -148,11 +147,9 @@ def base_action(
 
 @dataclass(frozen=True)
 class RolloutConfig:
-    """Lookahead and sampling knobs.  horizon caps the base-policy steps
-    simulated after the first action; None runs every trajectory to a
-    terminal state."""
+    """Sampling knobs.  Every trajectory runs the base policy after the
+    first action until a terminal state; there is no truncation."""
 
-    horizon: int | None = None
     n_mc_min: int = 32
     n_mc_max: int = 2048
     se_threshold: float = 0.05
@@ -160,8 +157,6 @@ class RolloutConfig:
     action_cap: int = 500
 
     def __post_init__(self) -> None:
-        if self.horizon is not None and self.horizon < 0:
-            raise ValidationError("horizon must be >= 0")
         if self.n_mc_min < 1 or self.n_mc_max < self.n_mc_min:
             raise ValidationError("need 1 <= n_mc_min <= n_mc_max")
         if self.se_threshold <= 0.0:
@@ -201,19 +196,15 @@ def trajectory_return(
     base_policy: PriorityBasePolicy,
     mdp: MdpConfig,
     community: Community,
-    horizon: int | None,
     draws: list[float] | None,
 ) -> float:
-    """Discounted return of forcing first_action now and following the base
-    policy for up to horizon further steps (unbounded when None), truncated
-    at terminal states."""
+    """Discounted return of forcing first_action now and then following the
+    base policy until a terminal state."""
     outcome = transition(state, first_action, community, mdp, draws)
     total = outcome.reward
     x = outcome.next_state
     disc = 1.0
-    for _ in itertools.count() if horizon is None else range(horizon):
-        if is_terminal(x, community, mdp):
-            break
+    while not is_terminal(x, community, mdp):
         action = base_action(x, community, mdp, base_policy)
         outcome = transition(x, action, community, mdp, draws)
         disc *= mdp.gamma
@@ -236,12 +227,10 @@ def estimate_q(
     se_threshold or n_mc_max is reached.  draws_for_trajectory(j) supplies
     the noise for trajectory j; sharing those across candidate actions is
     what implements common random numbers.  A deterministic repair model
-    needs a single trajectory.  rollout_config.horizon bounds each
-    trajectory."""
-    horizon = rollout_config.horizon
+    needs a single trajectory."""
     if mdp.repair_model is RepairModel.REMAINING_WORK:
         value = trajectory_return(
-            state, action, base_policy, mdp, community, horizon, None
+            state, action, base_policy, mdp, community, None
         )
         return QEstimate(
             value=value, std_error=0.0, n_trajectories=1, returns=(value,)
@@ -255,7 +244,7 @@ def estimate_q(
         for j in range(len(returns), batch_end):
             returns.append(
                 trajectory_return(
-                    state, action, base_policy, mdp, community, horizon,
+                    state, action, base_policy, mdp, community,
                     draws_for_trajectory(j),
                 )
             )

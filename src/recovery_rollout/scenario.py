@@ -21,7 +21,6 @@ from .community import (
     DamageState,
     GridCell,
     Retailer,
-    build_community,
 )
 from .errors import ParseError
 from .hazard import ComponentHazard, FragilityCurve, FragilitySet
@@ -230,9 +229,14 @@ def _parse_mdp(raw: Any) -> MdpConfig:
 
 def _parse_rollout(raw: Any) -> RolloutConfig:
     raw = _expect(raw if raw is not None else {}, "rollout")
-    horizon = raw.get("horizon")
+    if "horizon" in raw:
+        # rejected, not ignored: a file written for truncated trajectories
+        # would otherwise silently compute something else
+        raise ParseError(
+            "rollout.horizon: no longer supported; every trajectory runs "
+            "to a terminal state"
+        )
     return RolloutConfig(
-        horizon=_integer(horizon, "rollout.horizon") if horizon is not None else None,
         n_mc_min=_integer(raw.get("n_mc_min", 32), "rollout.n_mc_min"),
         n_mc_max=_integer(raw.get("n_mc_max", 2048), "rollout.n_mc_max"),
         se_threshold=_number(raw.get("se_threshold", 0.05), "rollout.se_threshold"),
@@ -279,7 +283,7 @@ def parse_scenario(raw: Any, source: str = "<scenario>") -> Scenario:
         _parse_retailer(r, f"retailers[{i}]") for i, r in enumerate(retailers_raw)
     ]
 
-    community = build_community(
+    community = Community(
         components=components,
         edges=edges,
         cells=cells,

@@ -20,7 +20,6 @@ from recovery_rollout.community import (
     DamageState,
     GridCell,
     Retailer,
-    build_community,
     functional_mask,
 )
 from recovery_rollout.mdp import (
@@ -82,7 +81,7 @@ def two_utility_community() -> Community:
     retailers = [
         Retailer(id=1, capacity=100.0, centroid=(1.0, 1.0), power_feed=2, water_feed=4)
     ]
-    return build_community(components, edges, cells, retailers)
+    return Community(components, edges, cells, retailers)
 
 
 def desk_community() -> Community:
@@ -107,7 +106,7 @@ def desk_community() -> Community:
     retailers = [
         Retailer(id=1, capacity=100.0, centroid=(2.4, 0.3), power_feed=3, water_feed=7)
     ]
-    return build_community(components, edges, cells, retailers)
+    return Community(components, edges, cells, retailers)
 
 
 def random_dag_community(rng: np.random.Generator, max_nodes: int = 30) -> Community:
@@ -143,7 +142,7 @@ def random_dag_community(rng: np.random.Generator, max_nodes: int = 30) -> Commu
             id=1, capacity=5.0, centroid=(1.5, 0.0), power_feed=1, water_feed=n + 1
         )
     ]
-    return build_community(components, edges, cells, retailers)
+    return Community(components, edges, cells, retailers)
 
 
 def functional_set(

@@ -18,11 +18,11 @@ from scipy import stats
 import recovery_rollout
 from recovery_rollout.cli import main
 from recovery_rollout.community import (
+    Community,
     ComponentClass,
     DamageState,
     GridCell,
     Retailer,
-    build_community,
 )
 from recovery_rollout.hazard import FragilitySet, damage_pmf, exceedance_prob
 from recovery_rollout.mdp import (
@@ -94,7 +94,7 @@ def test_criterion_01_action_space_counts(capsys):
                       power_feed=2, water_feed=10)]
     retailers = [Retailer(id=1, capacity=10.0, centroid=(0.0, 1.0),
                           power_feed=2, water_feed=10)]
-    community = build_community(components, edges, cells, retailers)
+    community = Community(components, edges, cells, retailers)
     epn_ids = list(range(1, 9))
     wn_ids = list(range(9, 17))
 
@@ -144,7 +144,7 @@ def test_criterion_02_parallel_repair_min_law(capsys):
                       power_feed=3, water_feed=5)]
     retailers = [Retailer(id=1, capacity=10.0, centroid=(0.0, 1.0),
                           power_feed=3, water_feed=5)]
-    community = build_community(components, edges, cells, retailers)
+    community = Community(components, edges, cells, retailers)
     config = MdpConfig(n_e=2, n_w=1, alpha=1.0)
     # substation means: MODERATE 3 days, EXTENSIVE 7 days
     damage = damage_for(community, {1: D.MODERATE, 2: D.EXTENSIVE})
@@ -180,7 +180,7 @@ def test_criterion_03_preemption_memoryless(capsys):
                       power_feed=2, water_feed=4)]
     retailers = [Retailer(id=1, capacity=10.0, centroid=(0.0, 1.0),
                           power_feed=2, water_feed=4)]
-    community = build_community(components, edges, cells, retailers)
+    community = Community(components, edges, cells, retailers)
     config = MdpConfig(n_e=2, n_w=1, alpha=1.0)
     # substation MODERATE takes mean 3 days; the distribution blocker 1 day
     start = initial_state(

@@ -43,3 +43,23 @@ def test_benchmark_runs_clean(workload):
     for name in END_TO_END:
         value = result["metrics"][name]["value"]
         assert math.isfinite(value) and value > 0, (name, value)
+
+
+def test_traced_benchmark_runs_clean():
+    """--trace 1 probes every layer function; its result line must stay
+    strict JSON with every metric null or finite."""
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "mini-compare",
+         "--seed", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=900,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    result = json.loads(
+        proc.stdout.splitlines()[-1], parse_constant=reject_constant
+    )
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    for name, metric in result["metrics"].items():
+        value = metric["value"]
+        assert value is None or math.isfinite(value), (name, value)

@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recovery_rollout.community import (
+    Community,
     ComponentClass,
     DamageState,
     GridCell,
     Retailer,
     benefit_for_damage,
-    build_community,
     functional_mask,
     gravity_weights,
 )
@@ -44,7 +44,7 @@ COMP = DamageState.COMPLETE
 
 
 def test_minimal_power_chain_builds():
-    community = build_community(
+    community = Community(
         components=[
             comp(1, ComponentClass.SUBSTATION),
             comp(2, ComponentClass.DISTRIBUTION_SEGMENT),
@@ -70,7 +70,7 @@ def test_minimal_power_chain_builds():
 
 def test_dependency_cycle_rejected():
     with pytest.raises(CycleInDependencies):
-        build_community(
+        Community(
             components=[
                 comp(1, ComponentClass.DISTRIBUTION_SEGMENT),
                 comp(2, ComponentClass.SUBSTATION),
@@ -87,7 +87,7 @@ def test_dependency_cycle_rejected():
 
 def test_epn_cannot_depend_on_water():
     with pytest.raises(CrossNetworkViolation):
-        build_community(
+        Community(
             components=[
                 comp(1, ComponentClass.WELL),
                 comp(2, ComponentClass.SUBSTATION),
@@ -103,7 +103,7 @@ def test_epn_cannot_depend_on_water():
 
 def test_pipeline_cannot_depend_directly_on_epn():
     with pytest.raises(CrossNetworkViolation):
-        build_community(
+        Community(
             components=[
                 comp(1, ComponentClass.SUBSTATION),
                 comp(2, ComponentClass.PIPELINE),
@@ -133,7 +133,7 @@ def test_nonpositive_repair_time_rejected():
 
 def test_dangling_feed_rejected():
     with pytest.raises(DanglingFeedReference):
-        build_community(
+        Community(
             components=[comp(1, ComponentClass.DISTRIBUTION_SEGMENT)],
             edges=[],
             cells=[
@@ -163,7 +163,7 @@ def test_damaged_tank_breaks_pipeline_but_not_power(desk):
 
 
 def test_or_junction_survives_one_dead_supplier():
-    community = build_community(
+    community = Community(
         components=[
             comp(1, ComponentClass.WELL),
             comp(2, ComponentClass.WELL),
@@ -202,7 +202,7 @@ def test_gravity_single_retailer_weight_is_one(two_utility):
 def test_gravity_distance_ratio():
     # equal capacities at distances 1 km and 2 km, exponent 2:
     # 1/1 : 1/4 normalizes to 0.8 / 0.2
-    community = build_community(
+    community = Community(
         components=[
             comp(1, ComponentClass.DISTRIBUTION_SEGMENT),
             comp(2, ComponentClass.PIPELINE),
@@ -225,7 +225,7 @@ def test_gravity_distance_ratio():
 
 
 def test_gravity_capacity_ratio():
-    community = build_community(
+    community = Community(
         components=[
             comp(1, ComponentClass.DISTRIBUTION_SEGMENT),
             comp(2, ComponentClass.PIPELINE),
@@ -248,7 +248,7 @@ def test_gravity_capacity_ratio():
 
 def test_gravity_zero_distance_rejected():
     with pytest.raises(ZeroDistance):
-        build_community(
+        Community(
             components=[
                 comp(1, ComponentClass.DISTRIBUTION_SEGMENT),
                 comp(2, ComponentClass.PIPELINE),
@@ -268,7 +268,7 @@ def test_gravity_zero_distance_rejected():
 def test_benefit_partial_retailer_weights():
     # one cell of 100 people, weights (0.8, 0.2); only retailer 1 is fully
     # served, so the expected count is 100 * 0.8
-    community = build_community(
+    community = Community(
         components=[
             comp(1, ComponentClass.DISTRIBUTION_SEGMENT),
             comp(2, ComponentClass.PIPELINE),
@@ -375,7 +375,7 @@ def test_gravity_rows_normalized_and_benefit_bounded(seed):
 
 def test_duplicate_component_ids_rejected():
     with pytest.raises(ValidationError):
-        build_community(
+        Community(
             components=[
                 comp(1, ComponentClass.DISTRIBUTION_SEGMENT),
                 comp(1, ComponentClass.PIPELINE),

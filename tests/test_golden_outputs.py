@@ -29,7 +29,7 @@ CASES = [
             "stdout": "4e2b0d5be354d5756ddb991e30e5838145754defcef3c5b0ab2e6c7f414e39be",
             "curve_rollout_ep0.csv": "9adfc1680563aa8164cb0459b35843ea8c38794e17b9529580c1af9ee11ab00c",
             "curve_rollout_ep1.csv": "64c5185d88f21f0db0c597a910fd8eb909184bee0bf9f078ff48a368ba2bdc35",
-            "summary_plan.txt": "95324ae78d6a7a825a9c834184f16a8fea178de859a8eaef55884ed6b126b17a",
+            "summary_plan.txt": "fc53f946d05ab1f91c9d98c6f84e078ebcd6b05fc6296adca215abc9c1fac558",
             "trace_rollout.txt": "24a5648483636556975c08ed57449d4319b87421386d65b9084b517b27afe227",
         },
     ),
@@ -40,7 +40,7 @@ CASES = [
         {
             "stdout": "f5fa9118e1c1ca8e81b0f20b12d9b8b37f8758373c0257251744adc4b98ee730",
             "compare_retailers.csv": "89e4236a4880a4b3ea0e1fdcc1a91df0dc877526fdd3c7de2dbb13f1dbdb96be",
-            "compare_summary.txt": "0b13253b10851c680f73dad2e9bcfbbfdfc8df9c78154770dbb53343ecb9b57c",
+            "compare_summary.txt": "d5a788a1ef6d073af2188aeae9e0d1ff250b98f4b01d82fc46cfcf74250a8ecc",
             "curve_base_ep0.csv": "3438e23cd3ef561405e20b094dbe72614f76b27c6c735ecf1267b59a4e8236e0",
             "curve_rollout_ep0.csv": "9adfc1680563aa8164cb0459b35843ea8c38794e17b9529580c1af9ee11ab00c",
         },
@@ -52,7 +52,7 @@ CASES = [
         {
             "stdout": "ea7bd9792a8f286693738e9da1f1ac0bae4241cb485d9d261ecb7693c7c78b4d",
             "compare_retailers.csv": "d37a4366aa6143f033eb10e8cc4bba2298e6d2160c44a1b9fb69c89e06161125",
-            "compare_summary.txt": "56cddb549ef080c33998f7cd2c37f943d73de5d270504e16efe6c08907d5150d",
+            "compare_summary.txt": "416e4e25091c230eafb634489d5e445670f3f65b74fb14c50c097a627358a0f0",
             "curve_base_ep0.csv": "3438e23cd3ef561405e20b094dbe72614f76b27c6c735ecf1267b59a4e8236e0",
             "curve_rollout_ep0.csv": "64a279d85bad1fda1d3b6ce000ceca2b2b5e1ffa16c7c932538fe522bed2d0cf",
         },
@@ -73,7 +73,7 @@ CASES = [
         {
             "stdout": "ede0481b9d2b5fc11311b785d0114f9c8d0fb769f1b72aa7abd20e8e5cf5751f",
             "curve_rollout_ep0.csv": "e273ed8de65966c6de1734f03785bdca67a47c0f517be7aaddbded642c8a03aa",
-            "summary_plan.txt": "748d54d97b56710d96bcc8236bd952b144c27a8f32f10ba7a9d17884aa230d42",
+            "summary_plan.txt": "dc3c753579edda8ae3e9e1560deeb0450b57b19b0eff893edbefdc61e624e724",
             "trace_rollout.txt": "96d722e84d6c20618dc1a7c13fb6765e2882b5eb16f3ad352d4dd095d73ac482",
         },
     ),

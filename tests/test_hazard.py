@@ -26,7 +26,7 @@ from recovery_rollout.hazard import (
     sample_initial_damage,
 )
 
-from conftest import damage_for, two_utility_community
+from conftest import damage_for, desk_community, two_utility_community
 
 STATES = (
     DamageState.MINOR,
@@ -188,6 +188,25 @@ def test_degenerate_pmf_always_complete():
     for _ in range(20):
         damage = sample_initial_damage(community, hazards, rng)
         assert all(d is DamageState.COMPLETE for d in damage)
+
+
+class _TopDrawRng:
+    """Stub generator whose every uniform draw sits just below 1."""
+
+    def random(self, n):
+        return np.full(n, 1.0 - 1e-12)
+
+
+def test_draw_past_accumulated_mass_keeps_last_positive_state():
+    # the pmf sums to 1 - 5e-10, inside the accepted tolerance, so a draw
+    # this high lands past the accumulated mass; COMPLETE has no mass
+    community = desk_community()
+    hazards = {
+        c.id: ComponentHazard(pmf=(0.5, 0.4999999995, 0.0, 0.0, 0.0))
+        for c in community.components
+    }
+    damage = sample_initial_damage(community, hazards, _TopDrawRng())
+    assert damage == (DamageState.MINOR,) * community.n_components
 
 
 def test_sampling_reproducible():

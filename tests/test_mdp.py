@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recovery_rollout.community import (
+    Community,
     ComponentClass,
     DamageState,
     GridCell,
     Retailer,
-    build_community,
 )
 from recovery_rollout.errors import (
     InadmissibleAction,
@@ -88,7 +88,7 @@ def ladder_community(n_dists: int, n_pipes: int):
             water_feed=first_pipe,
         )
     ]
-    return build_community(components, edges, cells, retailers)
+    return Community(components, edges, cells, retailers)
 
 
 def all_damaged(community, state=D.MODERATE):
@@ -184,7 +184,7 @@ def test_sampled_candidates_hold_the_base_action_once():
                       power_feed=3, water_feed=4)]
     retailers = [Retailer(id=1, capacity=10.0, centroid=(0.0, 1.0),
                           power_feed=3, water_feed=4)]
-    community = build_community(components, edges, cells, retailers)
+    community = Community(components, edges, cells, retailers)
     config = MdpConfig(n_e=1, n_w=1)
     damage = damage_for(community, {cid: D.MINOR for cid in range(2, 7)})
     state = initial_state(community, damage, config)
@@ -331,7 +331,7 @@ def test_remaining_work_simultaneous_completion():
                       power_feed=2, water_feed=5)]
     retailers = [Retailer(id=1, capacity=10.0, centroid=(0.0, 1.0),
                           power_feed=2, water_feed=5)]
-    community = build_community(components, edges, cells, retailers)
+    community = Community(components, edges, cells, retailers)
     config = MdpConfig(n_e=1, n_w=2, repair_model=RepairModel.REMAINING_WORK,
                        objective=Objective.MAX_BENEFIT_RATE)
     # both pipelines MODERATE: equal 1.0-day workloads finish together
@@ -408,7 +408,7 @@ def test_coverage_fraction_partial():
     ]
     retailers = [Retailer(id=1, capacity=40.0, centroid=(2.0, 0.0),
                           power_feed=4, water_feed=6)]
-    community = build_community(components, edges, cells, retailers)
+    community = Community(components, edges, cells, retailers)
     config = MdpConfig(n_e=1, n_w=1, alpha=0.7)
     state = initial_state(community, damage_for(community, {3: D.MINOR}), config)
     assert coverage_fraction(state, community) == pytest.approx(0.75)
@@ -432,7 +432,7 @@ def test_full_repair_objective_needs_every_component():
                       power_feed=2, water_feed=5)]
     retailers = [Retailer(id=1, capacity=10.0, centroid=(0.0, 1.0),
                           power_feed=2, water_feed=5)]
-    community = build_community(components, edges, cells, retailers)
+    community = Community(components, edges, cells, retailers)
     config = MdpConfig(n_e=1, n_w=1, objective=Objective.MAX_BENEFIT_RATE)
     # a redundant well down leaves coverage at 1.0 yet the episode continues
     state = initial_state(community, damage_for(community, {4: D.MINOR}), config)

@@ -12,11 +12,11 @@ import pytest
 import recovery_rollout
 from recovery_rollout import community as community_module
 from recovery_rollout.community import (
+    Community,
     ComponentClass,
     DamageState,
     GridCell,
     Retailer,
-    build_community,
 )
 from recovery_rollout.errors import (
     InstanceTooLarge,
@@ -78,7 +78,7 @@ def junk_pair_community():
                       power_feed=3, water_feed=5)]
     retailers = [Retailer(id=1, capacity=90.0, centroid=(1.0, -0.5),
                           power_feed=3, water_feed=5)]
-    return build_community(components, edges, cells, retailers)
+    return Community(components, edges, cells, retailers)
 
 
 JUNK_DAMAGE = {2: D.MODERATE, 3: D.MODERATE}
@@ -107,7 +107,7 @@ def detour_community():
                       power_feed=5, water_feed=4)]
     retailers = [Retailer(id=1, capacity=80.0, centroid=(0.5, 1.0),
                           power_feed=5, water_feed=4)]
-    return build_community(components, edges, cells, retailers)
+    return Community(components, edges, cells, retailers)
 
 
 DETOUR_DAMAGE = {2: D.MODERATE, 4: D.MODERATE, 5: D.MODERATE}
@@ -198,14 +198,14 @@ def test_trajectory_return_hand_computed():
     good_first = RepairAction((2,))
     # repairing the dead end first: 4 days, then 3 more for the real feed
     assert trajectory_return(
-        state, junk_first, BASE, JUNK_MDP, community, horizon=5, draws=None
+        state, junk_first, BASE, JUNK_MDP, community, draws=None
     ) == pytest.approx(-7.0)
     assert trajectory_return(
-        state, good_first, BASE, JUNK_MDP, community, horizon=5, draws=None
+        state, good_first, BASE, JUNK_MDP, community, draws=None
     ) == pytest.approx(-3.0)
 
 
-def test_trajectory_return_discounting_and_truncation():
+def test_trajectory_return_discounting():
     community = junk_pair_community()
     mdp = MdpConfig(n_e=1, n_w=1, gamma=0.5, alpha=1.0,
                     repair_model=RepairModel.REMAINING_WORK)
@@ -213,14 +213,7 @@ def test_trajectory_return_discounting_and_truncation():
     junk_first = RepairAction((1,))
     # first transition undiscounted, the follow-up step scaled by gamma
     assert trajectory_return(
-        state, junk_first, BASE, mdp, community, horizon=5, draws=None
-    ) == pytest.approx(-4.0 + 0.5 * -3.0)
-    assert trajectory_return(
-        state, junk_first, BASE, mdp, community, horizon=0, draws=None
-    ) == pytest.approx(-4.0)
-    # no horizon: run to the terminal state
-    assert trajectory_return(
-        state, junk_first, BASE, mdp, community, horizon=None, draws=None
+        state, junk_first, BASE, mdp, community, draws=None
     ) == pytest.approx(-4.0 + 0.5 * -3.0)
 
 
@@ -308,8 +301,6 @@ def test_rollout_config_validation():
         RolloutConfig(n_mc_min=32, n_mc_max=8)
     with pytest.raises(ValidationError):
         RolloutConfig(se_threshold=0.0)
-    with pytest.raises(ValidationError):
-        RolloutConfig(horizon=-1)
 
 
 # --- rollout decisions -------------------------------------------------------
@@ -390,7 +381,7 @@ def test_rollout_keeps_base_when_evidence_is_flat():
                       power_feed=2, water_feed=6)]
     retailers = [Retailer(id=1, capacity=40.0, centroid=(0.0, 1.0),
                           power_feed=2, water_feed=6)]
-    community = build_community(components, edges, cells, retailers)
+    community = Community(components, edges, cells, retailers)
     mdp = MdpConfig(n_e=1, n_w=1, alpha=1.0)
     # identical dead ends 3 and 4; the cell feed 2 is already healthy
     state = initial_state(
@@ -607,7 +598,7 @@ def test_oracle_guards_instance_size():
                       power_feed=2, water_feed=11)]
     retailers = [Retailer(id=1, capacity=10.0, centroid=(0.0, 1.0),
                           power_feed=2, water_feed=11)]
-    community = build_community(components, edges, cells, retailers)
+    community = Community(components, edges, cells, retailers)
     mdp = MdpConfig(n_e=1, n_w=1, alpha=1.0,
                     repair_model=RepairModel.REMAINING_WORK)
     damage = damage_for(community, {cid: D.MINOR for cid in range(1, 10)})

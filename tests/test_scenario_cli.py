@@ -167,6 +167,18 @@ def test_missing_mdp_section_rejected():
         parse_scenario(doc)
 
 
+def test_rollout_horizon_rejected():
+    # trajectories always run to a terminal state; ignoring the key would
+    # silently change what an older scenario file computes
+    doc = minimal_doc()
+    doc["rollout"] = {"horizon": 5}
+    with pytest.raises(ParseError, match=r"rollout\.horizon"):
+        parse_scenario(doc)
+    # other unknown rollout keys stay ignored
+    doc["rollout"] = {"lookahead_note": 5}
+    assert parse_scenario(doc).rollout.n_mc_min == 32
+
+
 def test_invalid_yaml_reports_file(tmp_path):
     bad = tmp_path / "broken.yaml"
     bad.write_text("components: [unclosed\n", encoding="utf-8")
