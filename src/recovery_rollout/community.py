@@ -38,6 +38,9 @@ class ComponentClass(enum.Enum):
     PUMPING_PLANT = "pumping_plant"
     PIPELINE = "pipeline"
 
+    # identity hash agrees with == for singleton members; Enum.__hash__ runs in Python
+    __hash__ = object.__hash__
+
     @property
     def network(self) -> Network:
         if self in (
@@ -145,9 +148,8 @@ class Community:
     AND-dependencies unless the dependent is an OR-junction.
 
     Construction raises a ValidationError subclass on any broken invariant;
-    attributes are read-only by convention.  The per-damage memos (benefit,
-    and the planner's base action) are plain dicts on the community, so
-    they live and die with it.
+    attributes are read-only by convention.  The per-damage benefit memo is
+    a plain dict on the community, so it lives and dies with it.
     """
 
     def __init__(
@@ -172,11 +174,18 @@ class Community:
         )
         self.gravity_exponent = float(gravity_exponent)
 
-        self.index_of: dict[int, int] = {}
-        for idx, comp in enumerate(self.components):
-            if comp.id in self.index_of:
-                raise ValidationError(f"duplicate component id {comp.id}")
-            self.index_of[comp.id] = idx
+        # each tuple is sorted by id, so a repeated id sits next to its twin
+        for owner, items in (
+            ("component", self.components),
+            ("cell", self.cells),
+            ("retailer", self.retailers),
+        ):
+            for prev, item in zip(items, items[1:]):
+                if prev.id == item.id:
+                    raise ValidationError(f"duplicate {owner} id {item.id}")
+        self.index_of: dict[int, int] = {
+            comp.id: idx for idx, comp in enumerate(self.components)
+        }
         n = len(self.components)
 
         self._validate_edges()
@@ -191,6 +200,13 @@ class Community:
         self.network_of: tuple[Network, ...] = tuple(
             c.network for c in self.components
         )
+        # per class, its component indices ascending (so also by id)
+        by_class: dict[ComponentClass, list[int]] = {k: [] for k in ComponentClass}
+        for idx, comp in enumerate(self.components):
+            by_class[comp.kind].append(idx)
+        self.indices_by_class: dict[ComponentClass, tuple[int, ...]] = {
+            k: tuple(ix) for k, ix in by_class.items()
+        }
         self.epn_indices: tuple[int, ...] = tuple(
             i for i in range(n) if self.network_of[i] is Network.EPN
         )
@@ -215,11 +231,9 @@ class Community:
         self.total_population: int = sum(self.populations)
 
         self.weights: tuple[tuple[float, ...], ...] = gravity_weights(self)
-        # damage vectors recur heavily across simulated trajectories:
-        # benefit_for_damage_cached memoizes by damage vector, and
-        # planner.base_action by (damage, n_e, n_w, policy)
+        # damage vectors recur heavily across simulated trajectories, so
+        # benefit_for_damage_cached memoizes by damage vector
         self._benefit_cache: dict[tuple[DamageState, ...], float] = {}
-        self._base_action_cache: dict[tuple, object] = {}
 
     @property
     def n_components(self) -> int:

@@ -33,7 +33,6 @@ from .mdp import (
     RecoveryState,
     RepairAction,
     RepairModel,
-    damaged_indices,
     enumerate_actions,
     initial_state,
     is_terminal,
@@ -115,34 +114,28 @@ def base_action(
     policy: PriorityBasePolicy,
 ) -> RepairAction:
     """Assign each network's crews to its highest-priority damaged
-    components.  Memoized on the community: the action depends only on
-    (damage, crew counts, policy), and trajectories revisit the same damage
-    vectors constantly."""
-    memo = community._base_action_cache
-    key = (state.damage, config.n_e, config.n_w, policy)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-
-    epn, wn = damaged_indices(state, community)
-    if not epn and not wn:
+    components: the policy's classes in priority order, and within a class
+    lower component id first.  Each network's scan stops once its crews
+    are used, and nothing is kept between calls."""
+    damage = state.damage
+    picked: list[int] = []
+    for order, crews in (
+        (policy.epn_priority, config.n_e),
+        (policy.wn_priority, config.n_w),
+    ):
+        wanted = len(picked) + crews
+        for kind in order:
+            for i in community.indices_by_class[kind]:
+                if damage[i]:  # NONE is the only falsy level
+                    picked.append(i)
+                    if len(picked) == wanted:
+                        break
+            else:
+                continue
+            break  # this network's crews are used
+    if not picked:
         raise TerminalState("no damaged components; no base action exists")
-    ranks = {
-        kind: rank
-        for order in (policy.epn_priority, policy.wn_priority)
-        for rank, kind in enumerate(order)
-    }
-    comps = community.components
-
-    def pick(indices: tuple[int, ...], budget: int) -> list[int]:
-        ordered = sorted(indices, key=lambda i: (ranks[comps[i].kind], comps[i].id))
-        return ordered[: min(budget, len(indices))]
-
-    action = RepairAction(
-        tuple(sorted(pick(epn, config.n_e) + pick(wn, config.n_w)))
-    )
-    memo[key] = action
-    return action
+    return RepairAction(tuple(sorted(picked)))
 
 
 @dataclass(frozen=True)

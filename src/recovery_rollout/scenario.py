@@ -69,6 +69,12 @@ def _integer(value: Any, path: str) -> int:
     return value
 
 
+def _boolean(value: Any, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ParseError(f"{path}: expected true or false")
+    return value
+
+
 def _point(value: Any, path: str) -> tuple[float, float]:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ParseError(f"{path}: expected [x, y]")
@@ -112,7 +118,9 @@ def _parse_component(raw: Any, path: str) -> Component:
         id=_integer(_get(raw, "id", path), f"{path}.id"),
         kind=kind,
         mean_repair_days=_parse_repair_days(raw.get("repair_days"), kind, path),
-        any_supplier=bool(raw.get("any_supplier", False)),
+        any_supplier=_boolean(
+            raw.get("any_supplier", False), f"{path}.any_supplier"
+        ),
     )
 
 

@@ -30,6 +30,7 @@ from recovery_rollout.mdp import (
     check_admissible,
     transition,
 )
+from recovery_rollout.planner import PriorityBasePolicy
 
 PIPE_DAYS = {
     DamageState.MINOR: 0.5,
@@ -240,6 +241,31 @@ class FreshDraws:
 
     def __setitem__(self, component_index: int, value: float) -> None:
         pass
+
+
+def reference_base_action(
+    damage: tuple[DamageState, ...],
+    community: Community,
+    config: MdpConfig,
+    policy: PriorityBasePolicy,
+) -> RepairAction:
+    """The base rule by sorting: per network, order the damaged indices by
+    (class rank in the policy, component id) and take the first k, where k
+    is that network's crew count."""
+    comps = community.components
+    picked: list[int] = []
+    for order, crews in (
+        (policy.epn_priority, config.n_e),
+        (policy.wn_priority, config.n_w),
+    ):
+        rank = {kind: r for r, kind in enumerate(order)}
+        damaged = [
+            i for i in range(community.n_components)
+            if damage[i] != DamageState.NONE and comps[i].kind in rank
+        ]
+        damaged.sort(key=lambda i: (rank[comps[i].kind], comps[i].id))
+        picked.extend(damaged[:crews])
+    return RepairAction(tuple(sorted(picked)))
 
 
 def step(

@@ -373,20 +373,24 @@ def test_gravity_rows_normalized_and_benefit_bounded(seed):
     assert 0.0 <= value <= community.total_population + 1e-9
 
 
-def test_duplicate_component_ids_rejected():
-    with pytest.raises(ValidationError):
-        Community(
-            components=[
-                comp(1, ComponentClass.DISTRIBUTION_SEGMENT),
-                comp(1, ComponentClass.PIPELINE),
-            ],
-            edges=[],
-            cells=[
-                GridCell(id=1, population=1, centroid=(0.5, 0.5), power_feed=1,
-                         water_feed=1)
-            ],
-            retailers=[],
-        )
+@pytest.mark.parametrize("owner", ["component", "cell", "retailer"])
+def test_duplicate_ids_rejected(owner):
+    components = [
+        comp(1, ComponentClass.DISTRIBUTION_SEGMENT),
+        comp(2, ComponentClass.PIPELINE),
+    ]
+    cells = [
+        GridCell(id=1, population=1, centroid=(0.5, 0.5), power_feed=1,
+                 water_feed=2)
+    ]
+    retailers = [
+        Retailer(id=1, capacity=1.0, centroid=(1.5, 0.5), power_feed=1,
+                 water_feed=2)
+    ]
+    twin = {"component": components, "cell": cells, "retailer": retailers}[owner]
+    twin.append(twin[0])
+    with pytest.raises(ValidationError, match=f"duplicate {owner} id 1"):
+        Community(components, [], cells, retailers)
 
 
 def test_functional_mask_index_alignment(desk):

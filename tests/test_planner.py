@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import weakref
 from pathlib import Path
 
@@ -51,11 +52,18 @@ from recovery_rollout.planner import (
 )
 from recovery_rollout.scenario import load_scenario
 
-from conftest import comp, damage_for, desk_community, two_utility_community
+from conftest import (
+    comp,
+    damage_for,
+    desk_community,
+    reference_base_action,
+    two_utility_community,
+)
 
 C = ComponentClass
 D = DamageState
 BASE = PriorityBasePolicy()
+DATA = Path(recovery_rollout.__file__).parent / "data"
 
 
 def junk_pair_community():
@@ -178,14 +186,67 @@ def test_base_action_terminal_raises():
         base_action(state, community, config, BASE)
 
 
-def test_base_action_memoized():
-    community = two_utility_community()
-    config = MdpConfig(n_e=1, n_w=1)
-    state = initial_state(community, damage_for(community, {1: D.MINOR}), config)
-    again = initial_state(community, damage_for(community, {1: D.MINOR}), config)
-    assert base_action(state, community, config, BASE) is base_action(
-        again, community, config, BASE
-    )
+def _random_damage(rng, n):
+    """Damage vector with a random share of components at random levels."""
+    damaged = rng.random(n) < rng.random()
+    levels = rng.integers(1, 5, size=n)
+    return tuple(D(int(lv)) if hit else D.NONE for hit, lv in zip(damaged, levels))
+
+
+def test_base_action_matches_sorting_reference():
+    mini = load_scenario(str(DATA / "mini_gilroy.yaml")).community
+    policies = [
+        BASE,
+        PriorityBasePolicy(
+            epn_priority=tuple(reversed(BASE.epn_priority)),
+            wn_priority=tuple(reversed(BASE.wn_priority)),
+        ),
+        PriorityBasePolicy(
+            epn_priority=BASE.epn_priority[1:] + BASE.epn_priority[:1],
+            wn_priority=BASE.wn_priority[2:] + BASE.wn_priority[:2],
+        ),
+    ]
+    rng = np.random.default_rng(0)
+    checked = 0
+    for community, policy, n_e, n_w in itertools.product(
+        (mini, desk_community()), policies, (1, 2, 3), (1, 2, 3)
+    ):
+        config = MdpConfig(n_e=n_e, n_w=n_w)
+        for _ in range(45):
+            damage = _random_damage(rng, community.n_components)
+            state = initial_state(community, damage, config)
+            if all(d == D.NONE for d in damage):
+                with pytest.raises(TerminalState):
+                    base_action(state, community, config, policy)
+                continue
+            assert base_action(state, community, config, policy) == (
+                reference_base_action(damage, community, config, policy)
+            )
+            checked += 1
+    assert checked >= 2_000
+
+
+def test_base_action_keeps_no_state():
+    community = load_scenario(str(DATA / "mini_gilroy.yaml")).community
+    config = MdpConfig(n_e=2, n_w=2)
+    rng = np.random.default_rng(1)
+    damages: set[tuple[DamageState, ...]] = set()
+    while len(damages) < 1_000:
+        damage = _random_damage(rng, community.n_components)
+        if any(d != D.NONE for d in damage):
+            damages.add(damage)
+
+    def stored_entries() -> int:
+        return sum(
+            len(value) for value in vars(community).values()
+            if isinstance(value, (dict, list, set))
+        )
+
+    before = stored_entries()
+    for damage in damages:
+        base_action(initial_state(community, damage, config), community, config,
+                    BASE)
+    assert stored_entries() == before
 
 
 # --- trajectory returns and Q estimates -------------------------------------

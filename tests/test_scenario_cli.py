@@ -94,6 +94,18 @@ def test_unknown_component_class_names_field():
         parse_scenario(doc)
 
 
+@pytest.mark.parametrize("flag", ["false", "true", 0, 1])
+def test_any_supplier_must_be_a_boolean(flag):
+    doc = minimal_doc()
+    doc["components"][1]["any_supplier"] = flag
+    with pytest.raises(
+        ParseError, match=r"components\[1\]\.any_supplier: expected true or false"
+    ):
+        parse_scenario(doc)
+    doc["components"][1]["any_supplier"] = True
+    assert parse_scenario(doc).community.any_supplier_flags[1] is True
+
+
 def test_dangling_feed_reference():
     doc = minimal_doc()
     doc["cells"][0]["water_feed"] = 99
