@@ -25,7 +25,6 @@ from .mdp import (
     RecoveryState,
     RepairAction,
     RepairModel,
-    TransitionOutcome,
     count_admissible,
     coverage_fraction,
     enumerate_actions,

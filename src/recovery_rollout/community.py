@@ -313,7 +313,7 @@ def functional_mask(
     suppliers = community.suppliers
     any_flags = community.any_supplier_flags
     for i in community.topo_order:
-        if damage[i] != DamageState.NONE:
+        if damage[i]:  # NONE is the only falsy level
             continue
         sup = suppliers[i]
         if not sup:

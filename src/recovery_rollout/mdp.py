@@ -81,7 +81,7 @@ class RecoveryState:
             for state, work in zip(self.damage, self.remaining_work):
                 if work < 0.0:
                     raise ValidationError("remaining_work entries must be >= 0")
-                if state != DamageState.NONE and work == 0.0:
+                if state and work == 0.0:
                     raise ValidationError(
                         "damaged components need positive remaining_work"
                     )
@@ -99,14 +99,6 @@ class RepairAction:
         return self.indices
 
 
-@dataclass(frozen=True)
-class TransitionOutcome:
-    next_state: RecoveryState
-    completion_time: float
-    repaired: frozenset[int]
-    reward: float
-
-
 def initial_state(
     community: Community,
     damage: tuple[DamageState, ...],
@@ -119,10 +111,8 @@ def initial_state(
     remaining: tuple[float, ...] | None = None
     if config.repair_model is RepairModel.REMAINING_WORK:
         remaining = tuple(
-            community.repair_means[i][int(damage[i])]
-            if damage[i] != DamageState.NONE
-            else 0.0
-            for i in range(community.n_components)
+            community.repair_means[i][int(d)] if d else 0.0
+            for i, d in enumerate(damage)
         )
     return RecoveryState(damage=tuple(damage), remaining_work=remaining)
 
@@ -131,10 +121,9 @@ def damaged_indices(
     state: RecoveryState, community: Community
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(EPN, WN) indices of currently damaged components, ascending."""
-    epn = tuple(
-        i for i in community.epn_indices if state.damage[i] != DamageState.NONE
-    )
-    wn = tuple(i for i in community.wn_indices if state.damage[i] != DamageState.NONE)
+    damage = state.damage
+    epn = tuple(i for i in community.epn_indices if damage[i])
+    wn = tuple(i for i in community.wn_indices if damage[i])
     return epn, wn
 
 
@@ -162,7 +151,7 @@ def check_admissible(
     if any(a >= b for a, b in zip(indices, indices[1:])):
         raise InadmissibleAction("indices must be ascending and distinct")
     for i in indices:
-        if state.damage[i] == DamageState.NONE:
+        if not state.damage[i]:
             raise InadmissibleAction(
                 f"component {community.components[i].id} is not damaged"
             )
@@ -238,7 +227,7 @@ def is_terminal(
 ) -> bool:
     if config.objective is Objective.MIN_TIME_TO_COVERAGE:
         return coverage_fraction(state, community) >= config.alpha
-    return all(d == DamageState.NONE for d in state.damage)
+    return not any(state.damage)  # NONE is the only falsy level
 
 
 def reward(
@@ -265,10 +254,12 @@ def transition(
     community: Community,
     config: MdpConfig,
     draws: list[float] | None,
-) -> TransitionOutcome:
+) -> tuple[RecoveryState, float]:
     """One decision epoch: run the assigned repairs until the first
     completion, repair the finisher(s), advance elapsed time, pay reward.
-    The action is not checked (see check_admissible).
+    Returns (next_state, reward); the repaired components are the assigned
+    ones whose level in next_state is NONE.  The action is not checked
+    (see check_admissible).
 
     Under exponential repair times, draws[i] is component i's outstanding
     repair requirement in unit-mean-exponential units.  Each assigned entry
@@ -299,7 +290,6 @@ def transition(
             if i != best_i:
                 draws[i] = u - completion / mean
         damage[best_i] = DamageState.NONE
-        repaired = frozenset((community.components[best_i].id,))
         next_remaining: tuple[float, ...] | None = None
     else:
         remaining = list(state.remaining_work or ())
@@ -308,15 +298,12 @@ def transition(
                 "remaining-work repair model needs remaining_work in the state"
             )
         completion = min(remaining[i] for i in assigned)
-        done: list[int] = []
         for i in assigned:
             left = remaining[i] - completion
             if left <= 1e-12:
                 left = 0.0
                 damage[i] = DamageState.NONE
-                done.append(i)
             remaining[i] = left
-        repaired = frozenset(community.components[i].id for i in done)
         next_remaining = tuple(remaining)
 
     next_state = RecoveryState(
@@ -324,10 +311,4 @@ def transition(
         elapsed_time=state.elapsed_time + completion,
         remaining_work=next_remaining,
     )
-    r = reward(next_state, completion, community, config)
-    return TransitionOutcome(
-        next_state=next_state,
-        completion_time=completion,
-        repaired=repaired,
-        reward=r,
-    )
+    return next_state, reward(next_state, completion, community, config)

@@ -193,16 +193,13 @@ def trajectory_return(
 ) -> float:
     """Discounted return of forcing first_action now and then following the
     base policy until a terminal state."""
-    outcome = transition(state, first_action, community, mdp, draws)
-    total = outcome.reward
-    x = outcome.next_state
+    x, total = transition(state, first_action, community, mdp, draws)
     disc = 1.0
     while not is_terminal(x, community, mdp):
         action = base_action(x, community, mdp, base_policy)
-        outcome = transition(x, action, community, mdp, draws)
+        x, r = transition(x, action, community, mdp, draws)
         disc *= mdp.gamma
-        total += disc * outcome.reward
-        x = outcome.next_state
+        total += disc * r
     return total
 
 
@@ -476,16 +473,19 @@ def run_episode(
                 decision_index=episode_index * 10_000 + k,
             )
             decisions.append(record)
-        outcome = transition(state, action, community, mdp, env_draws)
-        state = outcome.next_state
+        state, r = transition(state, action, community, mdp, env_draws)
         points.append(_observe(community, state, retailer_recovery))
+        # indices follow id order, so both id tuples come out ascending
+        comps = community.components
         steps.append(
             StepRecord(
                 decision_index=k,
                 time_days=state.elapsed_time,
-                assigned=tuple(community.components[i].id for i in action.indices),
-                repaired=tuple(sorted(outcome.repaired)),
-                reward=outcome.reward,
+                assigned=tuple(comps[i].id for i in action.indices),
+                repaired=tuple(
+                    comps[i].id for i in action.indices if not state.damage[i]
+                ),
+                reward=r,
             )
         )
         k += 1
@@ -548,7 +548,7 @@ def exhaustive_oracle(
     for the benefit objective) and an optimal first action."""
     if mdp.repair_model is not RepairModel.REMAINING_WORK:
         raise ValidationError("oracle needs the deterministic repair model")
-    n_damaged = sum(1 for d in damage if d != DamageState.NONE)
+    n_damaged = sum(1 for d in damage if d)
     if n_damaged > _ORACLE_MAX_DAMAGED:
         raise InstanceTooLarge(
             f"{n_damaged} damaged components exceed the oracle bound "
@@ -577,9 +577,9 @@ def exhaustive_oracle(
                 raise InstanceTooLarge(
                     "schedule enumeration exceeded the oracle bound"
                 )
-            outcome = transition(state, action, community, mdp, None)
-            elapsed = outcome.next_state.elapsed_time - state.elapsed_time
-            value, _ = search(outcome.next_state, area + benefit_now * elapsed)
+            nxt, _ = transition(state, action, community, mdp, None)
+            elapsed = nxt.elapsed_time - state.elapsed_time
+            value, _ = search(nxt, area + benefit_now * elapsed)
             if sign * value < sign * best or (
                 value == best
                 and best_action is not None

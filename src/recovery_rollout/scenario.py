@@ -7,6 +7,7 @@ the specific ValidationError raised by the model builders.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -60,7 +61,10 @@ def _get(mapping: dict, key: str, path: str) -> Any:
 def _number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+    number = float(value)
+    if not math.isfinite(number):
+        raise ParseError(f"{path}: expected a finite number, got {number}")
+    return number
 
 
 def _integer(value: Any, path: str) -> int:

@@ -26,7 +26,6 @@ from recovery_rollout.mdp import (
     MdpConfig,
     RecoveryState,
     RepairAction,
-    TransitionOutcome,
     check_admissible,
     transition,
 )
@@ -274,7 +273,7 @@ def step(
     community: Community,
     config: MdpConfig,
     draws: list[float] | FreshDraws | None,
-) -> TransitionOutcome:
+) -> tuple[RecoveryState, float]:
     """transition with the admissibility check in front."""
     check_admissible(state, action, community, config)
     return transition(state, action, community, config, draws)

@@ -45,11 +45,12 @@ def test_benchmark_runs_clean(workload):
         assert math.isfinite(value) and value > 0, (name, value)
 
 
-def test_traced_benchmark_runs_clean():
+@pytest.mark.parametrize("workload", ["mini-compare", "oracle-desk"])
+def test_traced_benchmark_runs_clean(workload):
     """--trace 1 probes every layer function; its result line must stay
     strict JSON with every metric null or finite."""
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "mini-compare",
+        [sys.executable, "bench/run.py", "--workload", workload,
          "--seed", "1", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=900,
     )

@@ -264,19 +264,28 @@ def test_malformed_indices_rejected(indices):
 # --- transition mechanics ----------------------------------------------------
 
 
+def repaired_ids(community, state, nxt):
+    """Ids of the components damaged in state and repaired in nxt."""
+    return {
+        community.components[i].id
+        for i, (before, after) in enumerate(zip(state.damage, nxt.damage))
+        if before is not D.NONE and after is D.NONE
+    }
+
+
 def test_exponential_completion_replays_raw_draw():
     community = two_utility_community()
     config = MdpConfig(n_e=1, n_w=1)
     # substation EXTENSIVE repairs in mean 7 days
     state = initial_state(community, damage_for(community, {1: D.EXTENSIVE}), config)
     action = RepairAction((0,))
-    outcome = step(state, action, community, config,
-                   FreshDraws(np.random.default_rng(5)))
+    nxt, _ = step(state, action, community, config,
+                  FreshDraws(np.random.default_rng(5)))
     expected = 7.0 * float(np.random.default_rng(5).standard_exponential())
-    assert outcome.completion_time == pytest.approx(expected, rel=1e-12)
-    assert outcome.repaired == frozenset({1})
-    assert outcome.next_state.damage[0] is D.NONE
-    assert outcome.next_state.elapsed_time == pytest.approx(expected, rel=1e-12)
+    # the state starts at time zero, so elapsed time is the completion time
+    assert nxt.elapsed_time == pytest.approx(expected, rel=1e-12)
+    assert repaired_ids(community, state, nxt) == {1}
+    assert nxt.damage[0] is D.NONE
 
 
 def test_exponential_repairs_exactly_one():
@@ -284,11 +293,11 @@ def test_exponential_repairs_exactly_one():
     config = MdpConfig(n_e=2, n_w=1)
     state = initial_state(community, all_damaged(community), config)
     action = greedy_action(state, community, config)
-    outcome = step(state, action, community, config,
-                   FreshDraws(np.random.default_rng(9)))
-    assert len(outcome.repaired) == 1
+    nxt, _ = step(state, action, community, config,
+                  FreshDraws(np.random.default_rng(9)))
+    assert len(repaired_ids(community, state, nxt)) == 1
     before = sum(d != D.NONE for d in state.damage)
-    after = sum(d != D.NONE for d in outcome.next_state.damage)
+    after = sum(d != D.NONE for d in nxt.damage)
     assert after == before - 1
 
 
@@ -299,12 +308,13 @@ def test_exponential_transition_writes_back_outstanding_work():
     state = initial_state(community, damage, config)
     well_mean = community.repair_means[2][int(D.EXTENSIVE)]
     draws = [0.1, 0.5, 10.0, 0.5]
-    outcome = step(state, RepairAction((0, 2)), community, config, draws)
+    nxt, _ = step(state, RepairAction((0, 2)), community, config, draws)
     # substation EXTENSIVE repairs in mean 7 days and finishes first
-    assert outcome.completion_time == 7.0 * 0.1
-    assert outcome.repaired == frozenset({1})
+    completion = nxt.elapsed_time - state.elapsed_time
+    assert completion == 7.0 * 0.1
+    assert repaired_ids(community, state, nxt) == {1}
     # the finisher's entry is left as read; the well's keeps its remainder
-    assert draws == [0.1, 0.5, 10.0 - outcome.completion_time / well_mean, 0.5]
+    assert draws == [0.1, 0.5, 10.0 - completion / well_mean, 0.5]
 
 
 def test_remaining_work_initialization():
@@ -338,11 +348,11 @@ def test_remaining_work_simultaneous_completion():
     damage = damage_for(community, {4: D.MODERATE, 5: D.MODERATE})
     state = initial_state(community, damage, config)
     action = RepairAction((3, 4))
-    outcome = step(state, action, community, config,
-                   FreshDraws(np.random.default_rng(0)))
-    assert outcome.completion_time == pytest.approx(1.0, abs=1e-12)
-    assert outcome.repaired == frozenset({4, 5})
-    assert is_terminal(outcome.next_state, community, config)
+    nxt, _ = step(state, action, community, config,
+                  FreshDraws(np.random.default_rng(0)))
+    assert nxt.elapsed_time - state.elapsed_time == pytest.approx(1.0, abs=1e-12)
+    assert repaired_ids(community, state, nxt) == {4, 5}
+    assert is_terminal(nxt, community, config)
 
 
 def test_remaining_work_partial_progress():
@@ -353,12 +363,12 @@ def test_remaining_work_partial_progress():
     damage = damage_for(community, {1: D.MODERATE, 3: D.COMPLETE})
     state = initial_state(community, damage, config)
     action = RepairAction((0, 2))
-    outcome = step(state, action, community, config,
-                   FreshDraws(np.random.default_rng(0)))
-    assert outcome.completion_time == pytest.approx(3.0, abs=1e-12)
-    assert outcome.repaired == frozenset({1})
-    assert outcome.next_state.damage[2] is D.COMPLETE
-    assert outcome.next_state.remaining_work[2] == pytest.approx(23.0, abs=1e-9)
+    nxt, _ = step(state, action, community, config,
+                  FreshDraws(np.random.default_rng(0)))
+    assert nxt.elapsed_time - state.elapsed_time == pytest.approx(3.0, abs=1e-12)
+    assert repaired_ids(community, state, nxt) == {1}
+    assert nxt.damage[2] is D.COMPLETE
+    assert nxt.remaining_work[2] == pytest.approx(23.0, abs=1e-9)
 
 
 # --- rewards, coverage, termination -----------------------------------------
@@ -479,11 +489,11 @@ def test_episode_monotone_and_bounded(damage, seed):
     steps = 0
     while not is_terminal(state, community, config):
         action = greedy_action(state, community, config)
-        outcome = step(state, action, community, config, draws)
-        for before, after in zip(state.damage, outcome.next_state.damage):
+        nxt, _ = step(state, action, community, config, draws)
+        for before, after in zip(state.damage, nxt.damage):
             assert after == before or after is D.NONE  # repairs never damage
-        assert outcome.next_state.elapsed_time > state.elapsed_time
-        state = outcome.next_state
+        assert nxt.elapsed_time > state.elapsed_time
+        state = nxt
         steps += 1
         assert steps <= initial_count
     assert steps == initial_count  # exponential mode fixes one per epoch
@@ -499,7 +509,6 @@ def test_negated_reward_sum_equals_elapsed_time(damage, seed):
     total = 0.0
     while not is_terminal(state, community, config):
         action = greedy_action(state, community, config)
-        outcome = step(state, action, community, config, draws)
-        total -= outcome.reward
-        state = outcome.next_state
+        state, r = step(state, action, community, config, draws)
+        total -= r
     assert total == pytest.approx(state.elapsed_time, rel=1e-9)

@@ -517,6 +517,35 @@ def test_episode_deterministic_base_hand_checked():
     assert result.retailer_recovery == (pytest.approx(3.0),)
 
 
+def test_episode_step_lists_simultaneous_finishers_ascending():
+    # declared out of id order; the community sorts components by id
+    components = [
+        comp(5, C.PIPELINE),
+        comp(4, C.PIPELINE),
+        comp(3, C.WELL),
+        comp(2, C.DISTRIBUTION_SEGMENT),
+        comp(1, C.SUBSTATION),
+    ]
+    edges = [(1, 2), (3, 4), (4, 5)]
+    cells = [GridCell(id=1, population=100, centroid=(1.0, 0.0),
+                      power_feed=2, water_feed=5)]
+    retailers = [Retailer(id=1, capacity=10.0, centroid=(0.0, 1.0),
+                          power_feed=2, water_feed=5)]
+    community = Community(components, edges, cells, retailers)
+    mdp = MdpConfig(n_e=1, n_w=2, objective=Objective.MAX_BENEFIT_RATE,
+                    repair_model=RepairModel.REMAINING_WORK)
+    # both pipelines MODERATE: equal 1.0-day workloads finish together
+    damage = damage_for(community, {4: D.MODERATE, 5: D.MODERATE})
+    result = run_episode(
+        PolicyKind.BASE, damage, community, mdp, RolloutConfig(), BASE,
+        root_seed=0,
+    )
+    assert len(result.steps) == 1
+    assert result.steps[0].assigned == (4, 5)
+    assert result.steps[0].repaired == (4, 5)
+    assert result.steps[0].time_days == pytest.approx(1.0, abs=1e-12)
+
+
 def test_episode_stops_at_coverage_threshold():
     community = junk_pair_community()
     mdp = MdpConfig(n_e=1, n_w=1, alpha=0.8,

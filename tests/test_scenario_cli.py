@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import pytest
@@ -104,6 +105,40 @@ def test_any_supplier_must_be_a_boolean(flag):
         parse_scenario(doc)
     doc["components"][1]["any_supplier"] = True
     assert parse_scenario(doc).community.any_supplier_flags[1] is True
+
+
+NUMBER_FIELDS = [
+    ("components", 3, "repair_days", "minor"),
+    ("components", 3, "repair_days", "moderate"),
+    ("components", 3, "repair_days", "extensive"),
+    ("components", 3, "repair_days", "complete"),
+    ("gravity_exponent",),
+    ("rollout", "se_threshold"),
+    ("hazard", "default", "pmf", 0),
+]
+
+
+def field_path(keys) -> str:
+    return "".join(
+        f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys
+    ).lstrip(".")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("keys", NUMBER_FIELDS, ids=field_path)
+def test_non_finite_number_rejected(keys, value):
+    doc = minimal_doc()
+    doc["rollout"] = {"se_threshold": 0.05}
+    doc["hazard"]["default"] = {"pmf": [1.0, 0.0, 0.0, 0.0, 0.0]}
+    parse_scenario(doc)  # valid until the one field is spoiled
+    *parents, last = keys
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    message = f"{field_path(keys)}: expected a finite number, got {value}"
+    with pytest.raises(ParseError, match=re.escape(message)):
+        parse_scenario(doc)
 
 
 def test_dangling_feed_reference():
