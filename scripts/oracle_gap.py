@@ -52,6 +52,9 @@ def main(argv=None) -> int:
 
     scenario = load_scenario(args.scenario)
     community = scenario.community
+    n = community.n_components
+    if args.instances < 1 or not 1 <= args.max_damaged <= n:
+        parser.error(f"need --instances >= 1 and --max-damaged in 1..{n}")
     mdp = scenario.mdp
     rng = np.random.default_rng(args.seed)
 

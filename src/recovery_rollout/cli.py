@@ -26,6 +26,7 @@ from .planner import (
     RolloutMode,
     episode_damage,
     exhaustive_oracle,
+    objective_gain,
     oracle_gap,
     run_episode,
     run_episodes,
@@ -165,18 +166,20 @@ def cmd_compare(args: argparse.Namespace) -> int:
         )
         for policy in (PolicyKind.BASE, PolicyKind.ROLLOUT)
     )
-    base_metrics = [res.metric(scenario.mdp.objective) for res in base_results]
-    roll_metrics = [res.metric(scenario.mdp.objective) for res in roll_results]
+    objective = scenario.mdp.objective
+    base_metrics = [res.metric(objective) for res in base_results]
+    roll_metrics = [res.metric(objective) for res in roll_results]
     base_mean, base_se = _mean_stderr(base_metrics)
     roll_mean, roll_se = _mean_stderr(roll_metrics)
-    if base_mean == 0.0:
-        improvement = 0.0
-    elif scenario.mdp.objective is Objective.MIN_TIME_TO_COVERAGE:
-        improvement = (base_mean - roll_mean) / base_mean * 100.0
-    else:
-        improvement = (roll_mean - base_mean) / base_mean * 100.0
+    gain = objective_gain(objective, base_mean, roll_mean)
+    improvement = gain / base_mean * 100.0 if base_mean != 0.0 else 0.0
+    gains = objective_gain(objective, np.array(base_metrics), np.array(roll_metrics))
+    gain_mean, gain_se = _mean_stderr(gains)
+    t_stat = gain_mean / gain_se if gain_se else math.nan
+    wins = np.count_nonzero(gains > 1e-9)
+    ties = np.count_nonzero(np.abs(gains) <= 1e-9)
 
-    label = _metric_label(scenario.mdp.objective)
+    label = _metric_label(objective)
     lines = _config_lines(scenario, seed, args.episodes, rollout_cfg)
     lines.append(f"metric = {label}")
     for ep in range(args.episodes):
@@ -187,6 +190,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     lines.append(f"base_mean = {_fmt(base_mean)} stderr {_fmt(base_se)}")
     lines.append(f"rollout_mean = {_fmt(roll_mean)} stderr {_fmt(roll_se)}")
     lines.append(f"improvement_pct = {_fmt(improvement)}")
+    lines.append(f"paired_gain_mean = {_fmt(gain_mean)} stderr {_fmt(gain_se)}")
+    lines.append(f"paired_t = {_fmt(t_stat)}")
+    lines.append(f"wins_ties_losses = {wins}/{ties}/{len(gains) - wins - ties}")
+    lines.append(f"not_worse_frac = {_fmt((wins + ties) / len(gains))}")
 
     out = Path(args.out)
     _write(out / "compare_summary.txt", "\n".join(lines) + "\n")

@@ -596,12 +596,17 @@ def exhaustive_oracle(
     return value, first
 
 
+def objective_gain(objective: Objective, before: float, after: float) -> float:
+    """How much better `after` scores than `before`: days saved under the
+    time objective, persons per day gained under the benefit objective."""
+    if objective is Objective.MIN_TIME_TO_COVERAGE:
+        return before - after
+    return after - before
+
+
 def oracle_gap(achieved: float, optimum: float, objective: Objective) -> float:
     """Relative shortfall of an achieved metric behind the oracle optimum,
-    positive when worse: excess time under the time objective, lost
-    persons per day under the benefit objective."""
+    positive when worse."""
     if optimum <= 0.0:
         return 0.0
-    if objective is Objective.MIN_TIME_TO_COVERAGE:
-        return (achieved - optimum) / optimum
-    return (optimum - achieved) / optimum
+    return objective_gain(objective, achieved, optimum) / optimum

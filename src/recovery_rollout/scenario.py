@@ -61,7 +61,10 @@ def _get(mapping: dict, key: str, path: str) -> Any:
 def _number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{path}: expected a number, got {value!r}")
-    number = float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond float range
+        number = math.inf if value > 0 else -math.inf
     if not math.isfinite(number):
         raise ParseError(f"{path}: expected a finite number, got {number}")
     return number

@@ -40,7 +40,7 @@ CASES = [
         {
             "stdout": "f5fa9118e1c1ca8e81b0f20b12d9b8b37f8758373c0257251744adc4b98ee730",
             "compare_retailers.csv": "89e4236a4880a4b3ea0e1fdcc1a91df0dc877526fdd3c7de2dbb13f1dbdb96be",
-            "compare_summary.txt": "d5a788a1ef6d073af2188aeae9e0d1ff250b98f4b01d82fc46cfcf74250a8ecc",
+            "compare_summary.txt": "b68351825a85ecef53d3584e2c53062bd54857ee5e73996f548d97c1cd6a37dd",
             "curve_base_ep0.csv": "3438e23cd3ef561405e20b094dbe72614f76b27c6c735ecf1267b59a4e8236e0",
             "curve_rollout_ep0.csv": "9adfc1680563aa8164cb0459b35843ea8c38794e17b9529580c1af9ee11ab00c",
         },
@@ -52,7 +52,7 @@ CASES = [
         {
             "stdout": "ea7bd9792a8f286693738e9da1f1ac0bae4241cb485d9d261ecb7693c7c78b4d",
             "compare_retailers.csv": "d37a4366aa6143f033eb10e8cc4bba2298e6d2160c44a1b9fb69c89e06161125",
-            "compare_summary.txt": "416e4e25091c230eafb634489d5e445670f3f65b74fb14c50c097a627358a0f0",
+            "compare_summary.txt": "e23e49a3aa1631fd7e5c33d7e74128510fc523675bc6e1eaffbe7b4cde028a25",
             "curve_base_ep0.csv": "3438e23cd3ef561405e20b094dbe72614f76b27c6c735ecf1267b59a4e8236e0",
             "curve_rollout_ep0.csv": "64a279d85bad1fda1d3b6ce000ceca2b2b5e1ffa16c7c932538fe522bed2d0cf",
         },

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -124,7 +125,10 @@ def field_path(keys) -> str:
     ).lstrip(".")
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "value",
+    [float("nan"), float("inf"), float("-inf"), pytest.param(10**401, id="10**401")],
+)
 @pytest.mark.parametrize("keys", NUMBER_FIELDS, ids=field_path)
 def test_non_finite_number_rejected(keys, value):
     doc = minimal_doc()
@@ -136,7 +140,8 @@ def test_non_finite_number_rejected(keys, value):
     for key in parents:
         target = target[key]
     target[last] = value
-    message = f"{field_path(keys)}: expected a finite number, got {value}"
+    shown = value if isinstance(value, float) else "inf"  # too large for a float
+    message = f"{field_path(keys)}: expected a finite number, got {shown}"
     with pytest.raises(ParseError, match=re.escape(message)):
         parse_scenario(doc)
 
@@ -311,6 +316,29 @@ def test_malformed_scenario_is_validation_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def check_paired_lines(summary: str, minimize: bool) -> list[str]:
+    """The four paired lines follow improvement_pct and agree with the
+    per-episode lines, signed so that positive favours rollout; returns
+    them."""
+    lines = summary.splitlines()
+    pairs = [
+        (float(m.group(1)), float(m.group(2)))
+        for m in (re.fullmatch(r"episode \d+ base (\S+) rollout (\S+)", line)
+                  for line in lines)
+        if m
+    ]
+    gains = [b - r if minimize else r - b for b, r in pairs]
+    wins = sum(g > 1e-9 for g in gains)
+    ties = sum(abs(g) <= 1e-9 for g in gains)
+    assert lines[-5].startswith("improvement_pct = ")
+    mean = re.fullmatch(r"paired_gain_mean = (\S+) stderr \S+", lines[-4])
+    assert float(mean.group(1)) == pytest.approx(sum(gains) / len(gains), abs=1e-5)
+    assert lines[-3].startswith("paired_t = ")
+    assert lines[-2] == f"wins_ties_losses = {wins}/{ties}/{len(gains) - wins - ties}"
+    assert lines[-1] == f"not_worse_frac = {(wins + ties) / len(gains):.6f}"
+    return lines[-4:]
+
+
 def test_compare_outputs(tmp_path, capsys):
     code = main(["compare", "--scenario", DEMO, "--episodes", "2",
                  "--out", str(tmp_path)])
@@ -321,6 +349,8 @@ def test_compare_outputs(tmp_path, capsys):
     summary = (tmp_path / "compare_summary.txt").read_text(encoding="utf-8")
     assert "improvement_pct = " in summary
     assert "base_mean = " in summary
+    _, _, wtl, _ = check_paired_lines(summary, minimize=True)
+    assert sum(map(int, wtl.split(" = ")[1].split("/"))) == 2
     retailers = (tmp_path / "compare_retailers.csv").read_text(
         encoding="utf-8"
     ).splitlines()
@@ -328,6 +358,34 @@ def test_compare_outputs(tmp_path, capsys):
         "retailer_id,base_mean_recovery_days,rollout_mean_recovery_days"
     )
     assert "improvement" in capsys.readouterr().out
+
+
+def test_compare_paired_lines_under_rate_objective(tmp_path, capsys):
+    rate_copy = tmp_path / "mini_gilroy_rate.yaml"
+    rate_copy.write_text(
+        Path(MINI).read_text().replace(
+            "objective: min_time_to_coverage", "objective: max_benefit_rate"
+        )
+    )
+    code = main(["compare", "--scenario", str(rate_copy), "--episodes", "2",
+                 "--out", str(tmp_path / "out")])
+    assert code == 0
+    summary = (tmp_path / "out" / "compare_summary.txt").read_text(encoding="utf-8")
+    assert "objective = max_benefit_rate" in summary
+    check_paired_lines(summary, minimize=False)
+
+
+def test_compare_single_episode_has_no_paired_t(tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["compare", "--scenario", DEMO, "--episodes", "1",
+                     "--out", str(tmp_path)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    summary = (tmp_path / "compare_summary.txt").read_text(encoding="utf-8")
+    gain, t_line, _, _ = check_paired_lines(summary, minimize=True)
+    assert gain.endswith(" stderr 0.000000")
+    assert t_line == "paired_t = nan"
 
 
 def test_oracle_check_passes_on_demo(capsys):

@@ -1,6 +1,6 @@
-"""Smoke tests for the experiment scripts under scripts/.
+"""Tests for the experiment script under scripts/, oracle_gap.py.
 
-Each script is loaded by path and its main() run on a small input."""
+The script is loaded by path and its main() run on small inputs."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import recovery_rollout
 from recovery_rollout.mdp import initial_state, is_terminal
@@ -26,17 +27,6 @@ def load_script(name: str):
     return module
 
 
-def test_compare_modes_reports_every_case(capsys):
-    script = load_script("compare_modes")
-    assert script.main(["--scenario", DEMO, "--episodes", "2"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0].startswith("scenario oracle-demo")
-    assert len(lines) == 1 + len(script.CASES)
-    for (label, _, _), line in zip(script.CASES, lines[1:]):
-        assert line.startswith(label)
-        assert re.search(r"W/T/L +\d+/ *\d+/ *\d+", line)
-
-
 def test_oracle_gap_reports_nonnegative_gaps(capsys):
     script = load_script("oracle_gap")
     assert script.main(["--instances", "3"]) == 0
@@ -45,6 +35,20 @@ def test_oracle_gap_reports_nonnegative_gaps(capsys):
     assert match, out
     assert float(match.group(1)) >= 0.0
     assert float(match.group(2)) >= 0.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--instances", "0"], ["--max-damaged", "0"], ["--max-damaged", "8"]],
+    ids=["no-instances", "max-damaged-0", "max-damaged-above-components"],
+)
+def test_oracle_gap_rejects_bad_arguments(argv, capsys):
+    # the demo scenario has 7 components
+    script = load_script("oracle_gap")
+    with pytest.raises(SystemExit) as exc:
+        script.main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_oracle_rate_never_beaten_on_script_instances(tmp_path):
