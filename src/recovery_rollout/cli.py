@@ -37,8 +37,7 @@ _ORACLE_GAP_TOLERANCE = 0.05
 
 
 def _fmt(x: float) -> str:
-    if math.isinf(x):
-        return "inf"
+    # fixed-point writes inf, -inf and nan as such
     return f"{x:.6f}"
 
 

@@ -148,8 +148,9 @@ class Community:
     AND-dependencies unless the dependent is an OR-junction.
 
     Construction raises a ValidationError subclass on any broken invariant;
-    attributes are read-only by convention.  The per-damage benefit memo is
-    a plain dict on the community, so it lives and dies with it.
+    attributes are read-only by convention.  The two benefit memos (by
+    damage vector and by outstanding-set bitmask) are plain dicts on the
+    community, so they live and die with it.
     """
 
     def __init__(
@@ -232,8 +233,11 @@ class Community:
 
         self.weights: tuple[tuple[float, ...], ...] = gravity_weights(self)
         # damage vectors recur heavily across simulated trajectories, so
-        # benefit_for_damage_cached memoizes by damage vector
+        # benefit_for_damage_cached memoizes by damage vector, and the
+        # planner's base-policy continuation by outstanding-set bitmask
+        # (bit i set when component index i is damaged)
         self._benefit_cache: dict[tuple[DamageState, ...], float] = {}
+        self._mask_benefit: dict[int, float] = {}
 
     @property
     def n_components(self) -> int:
@@ -353,7 +357,7 @@ def benefit_for_damage(
     community: Community, damage: tuple[DamageState, ...]
 ) -> float:
     """Benefit count straight from a damage vector, uncached: the miss path
-    of benefit_for_damage_cached, which every package reader goes through."""
+    of benefit_for_damage_cached and of the planner's mask-keyed memo."""
     mask = functional_mask(community, damage)
     ret_ok = [
         mask[community.ret_power_idx[ri]] and mask[community.ret_water_idx[ri]]

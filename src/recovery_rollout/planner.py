@@ -21,6 +21,7 @@ from .community import (
     ComponentClass,
     DamageState,
     Network,
+    benefit_for_damage,
     benefit_for_damage_cached,
     fractions_from_mask,
     functional_mask,
@@ -183,6 +184,96 @@ class DecisionRecord:
     estimates: tuple[tuple[RepairAction, QEstimate], ...]
 
 
+def _continuation_tables(
+    state: RecoveryState,
+    base_policy: PriorityBasePolicy,
+    mdp: MdpConfig,
+    community: Community,
+) -> tuple:
+    """What the base-policy continuation from `state` reads, built once per
+    state: the outstanding set as a bitmask (bit i is component index i),
+    the damage vector, and per network its crew count and its outstanding
+    components as (bit, index, repair mean) in base_action's order.
+    Levels only ever drop to NONE inside an episode, so the means stay
+    valid for every state the continuation reaches."""
+    damage = state.damage
+    repair_means = community.repair_means
+    epn, wn = (
+        [(1 << i, i, repair_means[i][int(damage[i])])
+         for kind in order for i in community.indices_by_class[kind]
+         if damage[i]]
+        for order in (base_policy.epn_priority, base_policy.wn_priority)
+    )
+    mask = sum(1 << i for i, d in enumerate(damage) if d)
+    return mask, damage, ((epn, mdp.n_e), (wn, mdp.n_w))
+
+
+def _base_continuation(
+    mask: int,
+    elapsed: float,
+    total: float,
+    draws: list[float],
+    tables: tuple,
+    mdp: MdpConfig,
+    community: Community,
+) -> float:
+    """Add to `total` the discounted rewards of following the base policy
+    from the non-terminal outstanding set `mask` at time `elapsed` under
+    exponential repairs; trajectory_return's loop on the mask.  Each step
+    is base_action then transition, term for term: the same picks, the same
+    draws read once and written back, the same completion time and reward,
+    so returns and draws come out bit-identical.  Benefits are memoized by
+    mask in community._mask_benefit."""
+    _, damage, networks = tables
+    gamma = mdp.gamma
+    rate = mdp.objective is Objective.MAX_BENEFIT_RATE
+    alpha = mdp.alpha
+    population = community.total_population
+    memo = community._mask_benefit
+    disc = 1.0
+    while True:
+        # each network's first outstanding components in priority order;
+        # the finisher is the earliest, the lowest index on a tie
+        work = []
+        best_t = math.inf
+        best_i = -1
+        for order, crews in networks:
+            for bit, i, mean in order:
+                if mask & bit:
+                    u = draws[i]
+                    work.append((i, mean, u))
+                    t = mean * u
+                    if t < best_t or (t == best_t and i < best_i):
+                        best_t = t
+                        best_i = i
+                    crews -= 1
+                    if not crews:
+                        break
+        if best_i < 0:
+            raise TerminalState("no damaged components; no base action exists")
+        for i, mean, u in work:
+            if i != best_i:
+                draws[i] = u - best_t / mean
+        mask ^= 1 << best_i
+        elapsed += best_t
+        benefit = memo.get(mask)
+        if benefit is None:
+            benefit = memo[mask] = benefit_for_damage(
+                community,
+                tuple(d if mask >> i & 1 else DamageState.NONE
+                      for i, d in enumerate(damage)),
+            )
+        disc *= gamma
+        if rate:
+            total += disc * (benefit / elapsed)
+            if not mask:
+                return total
+        else:
+            total += disc * -best_t
+            if benefit / population >= alpha:
+                return total
+
+
 def trajectory_return(
     state: RecoveryState,
     first_action: RepairAction,
@@ -190,17 +281,35 @@ def trajectory_return(
     mdp: MdpConfig,
     community: Community,
     draws: list[float] | None,
+    tables: tuple | None = None,
 ) -> float:
     """Discounted return of forcing first_action now and then following the
-    base policy until a terminal state."""
+    base policy until a terminal state.  The first step goes through
+    transition and is_terminal.  Under exponential repairs the rest runs in
+    _base_continuation on `tables`, which must be
+    _continuation_tables(state, ...) and are built here when not given;
+    the remaining-work model steps through transition throughout."""
     x, total = transition(state, first_action, community, mdp, draws)
+    if is_terminal(x, community, mdp):
+        return total
+    if mdp.repair_model is RepairModel.EXPONENTIAL:
+        if tables is None:
+            tables = _continuation_tables(state, base_policy, mdp, community)
+        mask = tables[0]
+        for i in first_action.indices:
+            if not x.damage[i]:
+                mask ^= 1 << i
+        return _base_continuation(
+            mask, x.elapsed_time, total, draws, tables, mdp, community
+        )
     disc = 1.0
-    while not is_terminal(x, community, mdp):
+    while True:
         action = base_action(x, community, mdp, base_policy)
         x, r = transition(x, action, community, mdp, draws)
         disc *= mdp.gamma
         total += disc * r
-    return total
+        if is_terminal(x, community, mdp):
+            return total
 
 
 def estimate_q(
@@ -226,6 +335,7 @@ def estimate_q(
             value=value, std_error=0.0, n_trajectories=1, returns=(value,)
         )
 
+    tables = _continuation_tables(state, base_policy, mdp, community)
     returns: list[float] = []
     while True:
         batch_end = min(
@@ -235,7 +345,7 @@ def estimate_q(
             returns.append(
                 trajectory_return(
                     state, action, base_policy, mdp, community,
-                    draws_for_trajectory(j),
+                    draws_for_trajectory(j), tables,
                 )
             )
         n = len(returns)

@@ -27,9 +27,10 @@ from recovery_rollout.mdp import (
     RecoveryState,
     RepairAction,
     check_admissible,
+    is_terminal,
     transition,
 )
-from recovery_rollout.planner import PriorityBasePolicy
+from recovery_rollout.planner import PriorityBasePolicy, base_action
 
 PIPE_DAYS = {
     DamageState.MINOR: 0.5,
@@ -265,6 +266,27 @@ def reference_base_action(
         damaged.sort(key=lambda i: (rank[comps[i].kind], comps[i].id))
         picked.extend(damaged[:crews])
     return RepairAction(tuple(sorted(picked)))
+
+
+def reference_trajectory_return(
+    state: RecoveryState,
+    first_action: RepairAction,
+    base_policy: PriorityBasePolicy,
+    mdp: MdpConfig,
+    community: Community,
+    draws: list[float] | None,
+) -> float:
+    """Rollout trajectory by the public step functions: force first_action,
+    then base_action and transition until is_terminal, discounting each
+    later reward by one more factor of gamma."""
+    x, total = transition(state, first_action, community, mdp, draws)
+    disc = 1.0
+    while not is_terminal(x, community, mdp):
+        action = base_action(x, community, mdp, base_policy)
+        x, r = transition(x, action, community, mdp, draws)
+        disc *= mdp.gamma
+        total += disc * r
+    return total
 
 
 def step(

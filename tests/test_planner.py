@@ -30,9 +30,11 @@ from recovery_rollout.mdp import (
     Objective,
     RepairAction,
     RepairModel,
+    enumerate_actions,
     initial_state,
 )
 from recovery_rollout.planner import (
+    TAG_ACTION_SAMPLING,
     TAG_TRAJECTORY,
     PolicyKind,
     PriorityBasePolicy,
@@ -42,8 +44,10 @@ from recovery_rollout.planner import (
     RolloutMode,
     _repair_draws,
     base_action,
+    episode_damage,
     estimate_q,
     exhaustive_oracle,
+    keyed_seed,
     oracle_gap,
     rollout_decision,
     run_episode,
@@ -57,6 +61,7 @@ from conftest import (
     damage_for,
     desk_community,
     reference_base_action,
+    reference_trajectory_return,
     two_utility_community,
 )
 
@@ -353,6 +358,84 @@ def test_estimate_q_replays_shared_draws():
     second = estimate_q(state, action, BASE, config, mdp, community, draws)
     assert first.returns == second.returns
     assert len(set(first.returns)) > 1
+
+
+@pytest.mark.parametrize("crews", [(1, 1), (2, 2)])
+@pytest.mark.parametrize("objective", list(Objective))
+def test_trajectory_return_matches_step_by_step_reference(objective, crews):
+    """The mask engine behind trajectory_return against the loop over
+    transition, base_action and is_terminal: every candidate of the first
+    decision of mini_gilroy episodes 0-5, on 64 noise tables each, gives
+    the same return and leaves the same draws, exactly."""
+    scenario = load_scenario(str(DATA / "mini_gilroy.yaml"))
+    community = scenario.community
+    mdp = MdpConfig(n_e=crews[0], n_w=crews[1], objective=objective)
+    n_tables = 64
+    config = RolloutConfig(n_mc_min=n_tables, n_mc_max=n_tables,
+                           se_threshold=1e-9)
+    for episode in range(6):
+        damage = episode_damage(community, scenario.hazards, scenario.seed,
+                                episode)
+        state = initial_state(community, damage, mdp)
+        decision = episode * 10_000
+        candidates = enumerate_actions(
+            state, community, mdp, cap=scenario.rollout.action_cap,
+            rng=np.random.default_rng(
+                keyed_seed(scenario.seed, TAG_ACTION_SAMPLING, decision)
+            ),
+            must_include=base_action(state, community, mdp, BASE),
+        )
+        draws_for = _table_draws(community, scenario.seed, decision)
+        for action in candidates:
+            expected = []
+            for j in range(n_tables):
+                draws, ref_draws = draws_for(j), draws_for(j)
+                got = trajectory_return(state, action, BASE, mdp, community,
+                                        draws)
+                want = reference_trajectory_return(
+                    state, action, BASE, mdp, community, ref_draws
+                )
+                assert got == want, (episode, action, j)
+                assert draws == ref_draws, (episode, action, j)
+                expected.append(want)
+            est = estimate_q(state, action, BASE, config, mdp, community,
+                             draws_for)
+            assert est.returns == tuple(expected)
+
+
+@pytest.mark.parametrize("water_ids_first", [False, True])
+def test_trajectory_return_breaks_completion_ties_by_lowest_index(
+    water_ids_first,
+):
+    """Equal repair means and equal draws make every step a tie; transition
+    repairs the lowest index first, whichever network the base policy
+    lists first, and leaves the same draws behind."""
+    one_day = dict.fromkeys((D.MINOR, D.MODERATE, D.EXTENSIVE, D.COMPLETE), 1.0)
+    epn_ids, wn_ids = ((3, 4), (1, 2)) if water_ids_first else ((1, 2), (3, 4))
+    community = Community(
+        [comp(epn_ids[0], C.SUBSTATION, one_day),
+         comp(epn_ids[1], C.DISTRIBUTION_SEGMENT, one_day),
+         comp(wn_ids[0], C.WELL, one_day),
+         comp(wn_ids[1], C.PIPELINE, one_day)],
+        [epn_ids, wn_ids],
+        [GridCell(id=1, population=100, centroid=(1.0, 0.0),
+                  power_feed=epn_ids[1], water_feed=wn_ids[1])],
+        [Retailer(id=1, capacity=10.0, centroid=(0.0, 1.0),
+                  power_feed=epn_ids[1], water_feed=wn_ids[1])],
+    )
+    mdp = MdpConfig(n_e=1, n_w=1, objective=Objective.MAX_BENEFIT_RATE)
+    state = initial_state(community, (D.MINOR,) * 4, mdp)
+    # force the two low-priority components first, then base takes over
+    first = RepairAction(tuple(sorted(
+        community.index_of[c] for c in (epn_ids[1], wn_ids[1])
+    )))
+    draws, ref_draws = [1.0] * 4, [1.0] * 4
+    assert trajectory_return(
+        state, first, BASE, mdp, community, draws
+    ) == reference_trajectory_return(
+        state, first, BASE, mdp, community, ref_draws
+    )
+    assert draws == ref_draws
 
 
 def test_rollout_config_validation():

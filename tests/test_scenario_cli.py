@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 import warnings
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import recovery_rollout
-from recovery_rollout.cli import main
+from recovery_rollout.cli import _fmt, main
 from recovery_rollout.community import ComponentClass
 from recovery_rollout.errors import DanglingFeedReference, ParseError
 from recovery_rollout.mdp import Objective, RepairModel
@@ -418,3 +419,10 @@ def test_sample_damage_without_out_writes_nothing(tmp_path, capsys, monkeypatch)
     code = main(["sample-damage", "--scenario", DEMO])
     assert code == 0
     assert list(tmp_path.iterdir()) == []
+
+
+def test_fmt_keeps_the_sign_of_infinity():
+    assert _fmt(-math.inf) == "-inf"
+    assert _fmt(math.inf) == "inf"
+    assert _fmt(math.nan) == "nan"
+    assert _fmt(-1.5) == "-1.500000"
