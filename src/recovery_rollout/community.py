@@ -232,6 +232,13 @@ class Community:
         self.total_population: int = sum(self.populations)
 
         self.weights: tuple[tuple[float, ...], ...] = gravity_weights(self)
+        # the covered fraction with nothing damaged: 1 up to rounding in
+        # the weights, which can leave it one ulp short
+        self.full_coverage: float = (
+            benefit_for_damage(self, (DamageState.NONE,) * n) / self.total_population
+            if self.total_population
+            else 1.0
+        )
         # damage vectors recur heavily across simulated trajectories, so
         # benefit_for_damage_cached memoizes by damage vector, and the
         # planner's base-policy continuation by outstanding-set bitmask

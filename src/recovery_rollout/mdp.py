@@ -225,8 +225,13 @@ def coverage_fraction(state: RecoveryState, community: Community) -> float:
 def is_terminal(
     state: RecoveryState, community: Community, config: MdpConfig
 ) -> bool:
+    """Coverage objective: coverage has reached alpha, or the coverage of
+    full service where that is lower (rounding in the gravity weights can
+    leave it one ulp below 1, and alpha = 1 is met there).  Rate
+    objective: nothing is damaged."""
     if config.objective is Objective.MIN_TIME_TO_COVERAGE:
-        return coverage_fraction(state, community) >= config.alpha
+        coverage = coverage_fraction(state, community)
+        return coverage >= config.alpha or coverage >= community.full_coverage
     return not any(state.damage)  # NONE is the only falsy level
 
 

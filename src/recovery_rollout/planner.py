@@ -227,7 +227,7 @@ def _base_continuation(
     _, damage, networks = tables
     gamma = mdp.gamma
     rate = mdp.objective is Objective.MAX_BENEFIT_RATE
-    alpha = mdp.alpha
+    threshold = min(mdp.alpha, community.full_coverage)  # as in is_terminal
     population = community.total_population
     memo = community._mask_benefit
     disc = 1.0
@@ -249,8 +249,6 @@ def _base_continuation(
                     crews -= 1
                     if not crews:
                         break
-        if best_i < 0:
-            raise TerminalState("no damaged components; no base action exists")
         for i, mean, u in work:
             if i != best_i:
                 draws[i] = u - best_t / mean
@@ -270,7 +268,7 @@ def _base_continuation(
                 return total
         else:
             total += disc * -best_t
-            if benefit / population >= alpha:
+            if benefit / population >= threshold:
                 return total
 
 

@@ -2,14 +2,19 @@
 and the run configuration.  One file is one reproducible experiment.
 
 Parsing reports the offending field path; semantic problems propagate as
-the specific ValidationError raised by the model builders.
+the specific ValidationError raised by the model builders.  The mdp and
+rollout sections and each cell and retailer entry are read field by field
+from their dataclasses, so their types and defaults are declared there only.
 """
 
 from __future__ import annotations
 
+import enum
+import functools
 import math
-from dataclasses import dataclass
-from typing import Any
+import re
+from dataclasses import MISSING, dataclass, fields
+from typing import Any, Callable, get_type_hints
 
 import yaml
 
@@ -25,14 +30,11 @@ from .community import (
 )
 from .errors import ParseError
 from .hazard import ComponentHazard, FragilityCurve, FragilitySet
-from .mdp import MdpConfig, Objective, RepairModel
-from .planner import PriorityBasePolicy, RolloutConfig, RolloutMode
+from .mdp import MdpConfig
+from .planner import PriorityBasePolicy, RolloutConfig
 
 _CLASS_NAMES = {c.value: c for c in ComponentClass}
 _STATE_NAMES = {s.name.lower(): s for s in DamageState}
-_OBJECTIVE_NAMES = {o.value: o for o in Objective}
-_MODEL_NAMES = {m.value: m for m in RepairModel}
-_MODE_NAMES = {m.value: m for m in RolloutMode}
 
 
 @dataclass(frozen=True)
@@ -95,6 +97,40 @@ def _lookup(table: dict[str, Any], value: Any, path: str, what: str) -> Any:
     return table[value]
 
 
+_READERS = {int: _integer, float: _number, tuple[float, float]: _point}
+
+
+@functools.cache
+def _record_fields(cls: type) -> tuple[tuple[str, Callable, bool], ...]:
+    """(name, reader, required) per field of a dataclass, in declaration
+    order.  An enum field is read by value and named in messages by its
+    class name split at capitals and lower-cased."""
+    hints = get_type_hints(cls)
+    specs = []
+    for f in fields(cls):
+        hint = hints[f.name]
+        if isinstance(hint, type) and issubclass(hint, enum.Enum):
+            label = re.sub(r"(?<!^)(?=[A-Z])", " ", hint.__name__).lower()
+            read = functools.partial(_lookup, {m.value: m for m in hint}, what=label)
+        else:
+            read = _READERS[hint]
+        specs.append((f.name, read, f.default is MISSING))
+    return tuple(specs)
+
+
+def _read_record(cls: type, raw: Any, path: str) -> Any:
+    """A dataclass from a mapping keyed by its field names; an omitted
+    field takes the dataclass default, and unknown keys are ignored."""
+    raw = _expect(raw, path)
+    values = {}
+    for name, read, required in _record_fields(cls):
+        if name in raw:
+            values[name] = read(raw[name], f"{path}.{name}")
+        elif required:
+            raise ParseError(f"{path}.{name}: required field is missing")
+    return cls(**values)
+
+
 def _parse_repair_days(
     raw: Any, kind: ComponentClass, path: str
 ) -> dict[DamageState, float]:
@@ -128,31 +164,6 @@ def _parse_component(raw: Any, path: str) -> Component:
         any_supplier=_boolean(
             raw.get("any_supplier", False), f"{path}.any_supplier"
         ),
-    )
-
-
-def _parse_cell(raw: Any, path: str) -> GridCell:
-    raw = _expect(raw, path)
-    population = _integer(_get(raw, "population", path), f"{path}.population")
-    if population < 0:
-        raise ParseError(f"{path}.population: must be >= 0")
-    return GridCell(
-        id=_integer(_get(raw, "id", path), f"{path}.id"),
-        population=population,
-        centroid=_point(_get(raw, "centroid", path), f"{path}.centroid"),
-        power_feed=_integer(_get(raw, "power_feed", path), f"{path}.power_feed"),
-        water_feed=_integer(_get(raw, "water_feed", path), f"{path}.water_feed"),
-    )
-
-
-def _parse_retailer(raw: Any, path: str) -> Retailer:
-    raw = _expect(raw, path)
-    return Retailer(
-        id=_integer(_get(raw, "id", path), f"{path}.id"),
-        capacity=_number(_get(raw, "capacity", path), f"{path}.capacity"),
-        centroid=_point(_get(raw, "centroid", path), f"{path}.centroid"),
-        power_feed=_integer(_get(raw, "power_feed", path), f"{path}.power_feed"),
-        water_feed=_integer(_get(raw, "water_feed", path), f"{path}.water_feed"),
     )
 
 
@@ -220,28 +231,6 @@ def _parse_hazards(
     return hazards
 
 
-def _parse_mdp(raw: Any) -> MdpConfig:
-    raw = _expect(raw, "mdp")
-    return MdpConfig(
-        n_e=_integer(_get(raw, "n_e", "mdp"), "mdp.n_e"),
-        n_w=_integer(_get(raw, "n_w", "mdp"), "mdp.n_w"),
-        gamma=_number(raw.get("gamma", 0.99), "mdp.gamma"),
-        objective=_lookup(
-            _OBJECTIVE_NAMES,
-            raw.get("objective", Objective.MIN_TIME_TO_COVERAGE.value),
-            "mdp.objective",
-            "objective",
-        ),
-        alpha=_number(raw.get("alpha", 0.8), "mdp.alpha"),
-        repair_model=_lookup(
-            _MODEL_NAMES,
-            raw.get("repair_model", RepairModel.EXPONENTIAL.value),
-            "mdp.repair_model",
-            "repair model",
-        ),
-    )
-
-
 def _parse_rollout(raw: Any) -> RolloutConfig:
     raw = _expect(raw if raw is not None else {}, "rollout")
     if "horizon" in raw:
@@ -251,16 +240,7 @@ def _parse_rollout(raw: Any) -> RolloutConfig:
             "rollout.horizon: no longer supported; every trajectory runs "
             "to a terminal state"
         )
-    return RolloutConfig(
-        n_mc_min=_integer(raw.get("n_mc_min", 32), "rollout.n_mc_min"),
-        n_mc_max=_integer(raw.get("n_mc_max", 2048), "rollout.n_mc_max"),
-        se_threshold=_number(raw.get("se_threshold", 0.05), "rollout.se_threshold"),
-        mode=_lookup(
-            _MODE_NAMES, raw.get("mode", RolloutMode.MEAN.value), "rollout.mode",
-            "rollout mode",
-        ),
-        action_cap=_integer(raw.get("action_cap", 500), "rollout.action_cap"),
-    )
+    return _read_record(RolloutConfig, raw, "rollout")
 
 
 def parse_scenario(raw: Any, source: str = "<scenario>") -> Scenario:
@@ -289,13 +269,18 @@ def parse_scenario(raw: Any, source: str = "<scenario>") -> Scenario:
     cells_raw = _get(doc, "cells", source)
     if not isinstance(cells_raw, list) or not cells_raw:
         raise ParseError("cells: expected a non-empty list")
-    cells = [_parse_cell(c, f"cells[{i}]") for i, c in enumerate(cells_raw)]
+    cells = []
+    for i, c in enumerate(cells_raw):
+        cells.append(_read_record(GridCell, c, f"cells[{i}]"))
+        if cells[-1].population < 0:
+            raise ParseError(f"cells[{i}].population: must be >= 0")
 
     retailers_raw = _get(doc, "retailers", source)
     if not isinstance(retailers_raw, list):
         raise ParseError("retailers: expected a list")
     retailers = [
-        _parse_retailer(r, f"retailers[{i}]") for i, r in enumerate(retailers_raw)
+        _read_record(Retailer, r, f"retailers[{i}]")
+        for i, r in enumerate(retailers_raw)
     ]
 
     community = Community(
@@ -314,7 +299,7 @@ def parse_scenario(raw: Any, source: str = "<scenario>") -> Scenario:
         name=str(doc.get("name", "scenario")),
         community=community,
         hazards=_parse_hazards(doc.get("hazard"), components),
-        mdp=_parse_mdp(_get(doc, "mdp", source)),
+        mdp=_read_record(MdpConfig, _get(doc, "mdp", source), "mdp"),
         rollout=_parse_rollout(doc.get("rollout")),
         base_policy=PriorityBasePolicy(),
         seed=seed,

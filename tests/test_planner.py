@@ -643,6 +643,71 @@ def test_episode_stops_at_coverage_threshold():
     assert result.steps == ()
 
 
+def short_full_service_community(dead_end: bool = False) -> Community:
+    """substation 1 -> distribution 2 and well 3 -> pipeline 4 feed one
+    cell of 1000 and three retailers whose gravity weights sum to one ulp
+    below 1, so full service covers 999.9999999999999 people.  With
+    dead_end, distribution 5 hangs off the substation and serves nobody."""
+    components = [
+        comp(1, C.SUBSTATION),
+        comp(2, C.DISTRIBUTION_SEGMENT),
+        comp(3, C.WELL),
+        comp(4, C.PIPELINE),
+    ]
+    edges = [(1, 2), (3, 4)]
+    if dead_end:
+        components.append(comp(5, C.DISTRIBUTION_SEGMENT))
+        edges.append((1, 5))
+    cells = [GridCell(id=1, population=1000, centroid=(0.0, 0.0),
+                      power_feed=2, water_feed=4)]
+    retailers = [
+        Retailer(id=i, capacity=10.0, centroid=xy, power_feed=2, water_feed=4)
+        for i, xy in enumerate([(1.0, 1.0), (2.0, 1.0), (1.0, 1.0)], start=1)
+    ]
+    return Community(components, edges, cells, retailers)
+
+
+SHORT_DAMAGE = {1: D.MODERATE, 3: D.MINOR}
+
+
+@pytest.mark.parametrize("repair_model", list(RepairModel))
+@pytest.mark.parametrize("policy", list(PolicyKind))
+def test_full_alpha_is_met_at_full_service(policy, repair_model):
+    # alpha = 1 is reached when everything is repaired, even though
+    # rounding leaves the covered fraction one ulp below 1
+    community = short_full_service_community()
+    mdp = MdpConfig(n_e=1, n_w=1, alpha=1.0, repair_model=repair_model)
+    result = run_episode(
+        policy, damage_for(community, SHORT_DAMAGE), community, mdp,
+        RolloutConfig(n_mc_min=4, n_mc_max=4), BASE, root_seed=0,
+    )
+    assert sorted(i for s in result.steps for i in s.repaired) == [1, 3]
+    assert result.curve.points[-1][1] < community.total_population
+
+
+def test_oracle_meets_full_alpha_at_full_service():
+    community = short_full_service_community()
+    mdp = MdpConfig(n_e=1, n_w=1, alpha=1.0,
+                    repair_model=RepairModel.REMAINING_WORK)
+    value, _ = exhaustive_oracle(
+        damage_for(community, SHORT_DAMAGE), community, mdp
+    )
+    assert value == 3.0
+
+
+@pytest.mark.parametrize("policy", list(PolicyKind))
+def test_full_alpha_leaves_a_dead_end_damaged(policy):
+    community = short_full_service_community(dead_end=True)
+    mdp = MdpConfig(n_e=1, n_w=1, alpha=1.0,
+                    repair_model=RepairModel.REMAINING_WORK)
+    damage = damage_for(community, {**SHORT_DAMAGE, 5: D.COMPLETE})
+    result = run_episode(
+        policy, damage, community, mdp, RolloutConfig(), BASE, root_seed=0,
+    )
+    assert result.total_time == 3.0
+    assert all(5 not in s.assigned for s in result.steps)
+
+
 def test_rollout_episode_beats_base_on_junk_pair():
     community = junk_pair_community()
     damage = damage_for(community, JUNK_DAMAGE)

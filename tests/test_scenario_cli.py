@@ -232,6 +232,126 @@ def test_rollout_horizon_rejected():
     assert parse_scenario(doc).rollout.n_mc_min == 32
 
 
+# Every field of the records read from a section: (section, field, value
+# written in full_doc(), value read back, default when the key is omitted).
+# Written out by hand so that a loader which drops or re-defaults a field
+# disagrees with this table.
+REQUIRED = object()
+RECORD_FIELDS = [
+    ("mdp", "n_e", 2, 2, REQUIRED),
+    ("mdp", "n_w", 3, 3, REQUIRED),
+    ("mdp", "gamma", 0.9, 0.9, 0.99),
+    ("mdp", "objective", "max_benefit_rate", Objective.MAX_BENEFIT_RATE,
+     Objective.MIN_TIME_TO_COVERAGE),
+    ("mdp", "alpha", 0.5, 0.5, 0.8),
+    ("mdp", "repair_model", "remaining_work", RepairModel.REMAINING_WORK,
+     RepairModel.EXPONENTIAL),
+    ("rollout", "n_mc_min", 16, 16, 32),
+    ("rollout", "n_mc_max", 64, 64, 2048),
+    ("rollout", "se_threshold", 0.1, 0.1, 0.05),
+    ("rollout", "mode", "worst", RolloutMode.WORST_CASE, RolloutMode.MEAN),
+    ("rollout", "action_cap", 7, 7, 500),
+    ("cells[0]", "id", 5, 5, REQUIRED),
+    ("cells[0]", "population", 100, 100, REQUIRED),
+    ("cells[0]", "centroid", [1.0, 0.0], (1.0, 0.0), REQUIRED),
+    ("cells[0]", "power_feed", 2, 2, REQUIRED),
+    ("cells[0]", "water_feed", 4, 4, REQUIRED),
+    ("retailers[0]", "id", 6, 6, REQUIRED),
+    ("retailers[0]", "capacity", 10.0, 10.0, REQUIRED),
+    ("retailers[0]", "centroid", [0.0, 1.0], (0.0, 1.0), REQUIRED),
+    ("retailers[0]", "power_feed", 2, 2, REQUIRED),
+    ("retailers[0]", "water_feed", 4, 4, REQUIRED),
+]
+
+
+def full_doc() -> dict:
+    """minimal_doc with every RECORD_FIELDS key written out."""
+    doc = minimal_doc()
+    doc["rollout"] = {}
+    for section, field, written, _, _ in RECORD_FIELDS:
+        record_of(doc, section)[field] = written
+    return doc
+
+
+def record_of(doc: dict, section: str) -> dict:
+    if section in ("mdp", "rollout"):
+        return doc[section]
+    return doc[section.removesuffix("[0]")][0]
+
+
+def parsed_record(sc, section: str):
+    return {
+        "mdp": sc.mdp,
+        "rollout": sc.rollout,
+        "cells[0]": sc.community.cells[0],
+        "retailers[0]": sc.community.retailers[0],
+    }[section]
+
+
+def record_id(row) -> str:
+    return f"{row[0]}.{row[1]}"
+
+
+def test_every_record_field_is_read():
+    sc = parse_scenario(full_doc())
+    for section, field, _, read, _ in RECORD_FIELDS:
+        assert getattr(parsed_record(sc, section), field) == read, (section, field)
+
+
+@pytest.mark.parametrize("row", RECORD_FIELDS, ids=record_id)
+def test_omitted_record_field_takes_its_default(row):
+    section, field, _, _, default = row
+    doc = full_doc()
+    del record_of(doc, section)[field]
+    if default is REQUIRED:
+        message = f"{section}.{field}: required field is missing"
+        with pytest.raises(ParseError, match="^" + re.escape(message) + "$"):
+            parse_scenario(doc)
+        return
+    sc = parse_scenario(doc)
+    assert getattr(parsed_record(sc, section), field) == default
+    # the other fields keep their written values
+    for other_section, other, _, read, _ in RECORD_FIELDS:
+        if (other_section, other) != (section, field):
+            assert getattr(parsed_record(sc, other_section), other) == read
+
+
+@pytest.mark.parametrize("value", ["x", True], ids=["string", "true"])
+@pytest.mark.parametrize("row", RECORD_FIELDS, ids=record_id)
+def test_wrongly_typed_record_field_names_its_path(row, value):
+    section, field, _, _, _ = row
+    doc = full_doc()
+    record_of(doc, section)[field] = value
+    with pytest.raises(ParseError, match="^" + re.escape(f"{section}.{field}: ")):
+        parse_scenario(doc)
+
+
+@pytest.mark.parametrize(
+    "section, field, label, known",
+    [
+        ("mdp", "objective", "objective",
+         "max_benefit_rate, min_time_to_coverage"),
+        ("mdp", "repair_model", "repair model", "exponential, remaining_work"),
+        ("rollout", "mode", "rollout mode", "mean, worst"),
+    ],
+)
+def test_unknown_enum_value_lists_the_known_ones(section, field, label, known):
+    doc = full_doc()
+    record_of(doc, section)[field] = "x"
+    message = f"{section}.{field}: unknown {label} 'x' (one of: {known})"
+    with pytest.raises(ParseError, match="^" + re.escape(message) + "$"):
+        parse_scenario(doc)
+
+
+def test_negative_population_rejected():
+    doc = full_doc()
+    doc["cells"][0]["population"] = -1
+    with pytest.raises(
+        ParseError, match="^" + re.escape("cells[0].population: must be >= 0") + "$"
+    ):
+        parse_scenario(doc)
+
+
 def test_invalid_yaml_reports_file(tmp_path):
     bad = tmp_path / "broken.yaml"
     bad.write_text("components: [unclosed\n", encoding="utf-8")
