@@ -1,25 +1,31 @@
 """Rollout optimality gap against the exhaustive schedule oracle.
 
-Draws random damage vectors on the bundled desk-scale deterministic
-scenario, solves each instance exactly by enumerating every preemptive
-schedule, runs the rollout planner on the same instance, and reports the
-distribution of the relative gap.
+Draws random damage vectors on a bundled scenario (by default the
+desk-scale deterministic one), solves each instance exactly with the
+schedule oracle (dynamic programming over every preemptive schedule),
+runs the rollout planner on the same instance, and reports the
+distribution of the relative gap.  The oracle needs deterministic repairs,
+so the scenario runs under the remaining-work repair model whatever it
+sets, as `recovery-rollout oracle-check` does.
 
     python scripts/oracle_gap.py --instances 50
+    python scripts/oracle_gap.py --scenario src/recovery_rollout/data/mini_gilroy.yaml
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 import recovery_rollout
 from recovery_rollout.community import DamageState
-from recovery_rollout.mdp import initial_state, is_terminal
+from recovery_rollout.mdp import RepairModel, initial_state, is_terminal
 from recovery_rollout.planner import (
+    _ORACLE_MAX_DAMAGED,
     PolicyKind,
     exhaustive_oracle,
     oracle_gap,
@@ -52,10 +58,10 @@ def main(argv=None) -> int:
 
     scenario = load_scenario(args.scenario)
     community = scenario.community
-    n = community.n_components
+    n = min(community.n_components, _ORACLE_MAX_DAMAGED)
     if args.instances < 1 or not 1 <= args.max_damaged <= n:
         parser.error(f"need --instances >= 1 and --max-damaged in 1..{n}")
-    mdp = scenario.mdp
+    mdp = replace(scenario.mdp, repair_model=RepairModel.REMAINING_WORK)
     rng = np.random.default_rng(args.seed)
 
     gaps = []

@@ -8,6 +8,7 @@ suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,13 +21,19 @@ from recovery_rollout.community import (
     DamageState,
     GridCell,
     Retailer,
+    benefit_for_damage_cached,
     functional_mask,
 )
+from recovery_rollout.errors import InstanceTooLarge, TerminalState, ValidationError
 from recovery_rollout.mdp import (
     MdpConfig,
+    Objective,
     RecoveryState,
     RepairAction,
+    RepairModel,
     check_admissible,
+    enumerate_actions,
+    initial_state,
     is_terminal,
     transition,
 )
@@ -287,6 +294,77 @@ def reference_trajectory_return(
         disc *= mdp.gamma
         total += disc * r
     return total
+
+
+REFERENCE_MAX_DAMAGED = 8
+REFERENCE_MAX_SCHEDULES = 1_000_000
+
+
+def reference_exhaustive_oracle(
+    damage: tuple[DamageState, ...],
+    community: Community,
+    mdp: MdpConfig,
+    first: RepairAction | None = None,
+) -> tuple[float, RepairAction]:
+    """Exact optimum over every preemptive schedule by depth-first search,
+    the reference for planner.exhaustive_oracle.  Deterministic repair
+    model only; guarded to desk scale.  Returns the natural objective value
+    (days for the time objective, persons per day for the benefit
+    objective) and an optimal first action.  With first given, only
+    schedules that start with it are searched."""
+    if mdp.repair_model is not RepairModel.REMAINING_WORK:
+        raise ValidationError("oracle needs the deterministic repair model")
+    n_damaged = sum(1 for d in damage if d)
+    if n_damaged > REFERENCE_MAX_DAMAGED:
+        raise InstanceTooLarge(
+            f"{n_damaged} damaged components exceed the oracle bound "
+            f"{REFERENCE_MAX_DAMAGED}"
+        )
+    minimize = mdp.objective is Objective.MIN_TIME_TO_COVERAGE
+    sign = 1.0 if minimize else -1.0
+    visited = [0]
+
+    def search(
+        state: RecoveryState, area: float, only: RepairAction | None = None
+    ) -> tuple[float, RepairAction | None]:
+        if is_terminal(state, community, mdp):
+            if minimize:
+                return state.elapsed_time, None
+            if state.elapsed_time == 0.0:
+                return benefit_for_damage_cached(community, state.damage), None
+            return area / state.elapsed_time, None
+        best = math.inf * sign
+        best_action: RepairAction | None = None
+        actions = (
+            [only] if only is not None
+            else enumerate_actions(
+                state, community, mdp, cap=REFERENCE_MAX_SCHEDULES
+            )
+        )
+        benefit_now = benefit_for_damage_cached(community, state.damage)
+        for action in actions:
+            visited[0] += 1
+            if visited[0] > REFERENCE_MAX_SCHEDULES:
+                raise InstanceTooLarge(
+                    "schedule enumeration exceeded the oracle bound"
+                )
+            nxt, _ = transition(state, action, community, mdp, None)
+            elapsed = nxt.elapsed_time - state.elapsed_time
+            value, _ = search(nxt, area + benefit_now * elapsed)
+            if sign * value < sign * best or (
+                value == best
+                and best_action is not None
+                and action.indices > best_action.indices
+            ):
+                best = value
+                best_action = action
+        assert best_action is not None
+        return best, best_action
+
+    value, best_first = search(initial_state(community, damage, mdp), 0.0, first)
+    if best_first is None:
+        raise TerminalState("initial state is already terminal")
+    return value, best_first
 
 
 def step(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import itertools
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,9 @@ import pytest
 
 import recovery_rollout
 from recovery_rollout import community as community_module
+from recovery_rollout import planner as planner_module
 from recovery_rollout.community import (
+    DAMAGED_STATES,
     Community,
     ComponentClass,
     DamageState,
@@ -32,6 +35,7 @@ from recovery_rollout.mdp import (
     RepairModel,
     enumerate_actions,
     initial_state,
+    is_terminal,
 )
 from recovery_rollout.planner import (
     TAG_ACTION_SAMPLING,
@@ -61,6 +65,7 @@ from conftest import (
     damage_for,
     desk_community,
     reference_base_action,
+    reference_exhaustive_oracle,
     reference_trajectory_return,
     two_utility_community,
 )
@@ -842,6 +847,92 @@ def test_oracle_guards_instance_size():
     damage = damage_for(community, {cid: D.MINOR for cid in range(1, 10)})
     with pytest.raises(InstanceTooLarge):
         exhaustive_oracle(damage, community, mdp)
+
+
+def test_oracle_guards_state_count(monkeypatch):
+    community = desk_community()
+    mdp = MdpConfig(n_e=1, n_w=1, alpha=1.0,
+                    repair_model=RepairModel.REMAINING_WORK)
+    damage = damage_for(community, {cid: D.MODERATE for cid in range(1, 8)})
+    monkeypatch.setattr(planner_module, "_ORACLE_MAX_STATES", 3)
+    with pytest.raises(InstanceTooLarge, match="remaining-work states"):
+        exhaustive_oracle(damage, community, mdp)
+
+
+@pytest.mark.parametrize("crews", [(1, 1), (2, 1)])
+@pytest.mark.parametrize("objective", list(Objective))
+@pytest.mark.parametrize("source", ["oracle_demo", "desk_community"])
+def test_oracle_matches_reference_search(source, objective, crews):
+    """26 random instances per case, 1-7 damaged: the DP's value is the
+    depth-first search's optimum, the search's best schedule that starts
+    with the DP's first action is optimal too, and under the rate
+    objective no rollout episode reads above the DP's value."""
+    scenario = load_scenario(str(DATA / "oracle_demo.yaml"))
+    community = (
+        scenario.community if source == "oracle_demo" else desk_community()
+    )
+    mdp = replace(scenario.mdp, objective=objective, n_e=crews[0], n_w=crews[1])
+    ids = [c.id for c in community.components]
+    rng = np.random.default_rng(25)
+    for i in range(26):
+        while True:
+            chosen = rng.choice(ids, size=1 + i % 7, replace=False)
+            damage = damage_for(
+                community, {int(c): D(int(rng.integers(1, 5))) for c in chosen}
+            )
+            if not is_terminal(initial_state(community, damage, mdp),
+                               community, mdp):
+                break
+        value, first = exhaustive_oracle(damage, community, mdp)
+        optimum, _ = reference_exhaustive_oracle(damage, community, mdp)
+        assert value == pytest.approx(optimum, rel=1e-12, abs=0.0), i
+        via_first, _ = reference_exhaustive_oracle(
+            damage, community, mdp, first=first
+        )
+        assert via_first == pytest.approx(optimum, rel=1e-12, abs=0.0), i
+        if objective is Objective.MAX_BENEFIT_RATE:
+            result = run_episode(
+                PolicyKind.ROLLOUT, damage, community, mdp, scenario.rollout,
+                scenario.base_policy, root_seed=i,
+            )
+            assert result.metric(objective) <= value, i
+
+
+def test_oracle_rate_runs_dinkelbach_past_the_largest_area():
+    """Two electric crews, distribution segments 2 (2 days, powers the
+    400-person cell and the retailer), 3 (4 days, the 300-person cell)
+    and 4 (3 days, feeds nothing).  Starting on {2, 4} gives the largest
+    area, 400 persons from day 2 to day 6 (rate 1600/6); starting on
+    {2, 3} gives 400 from day 2 to 4 and 700 from 4 to 5, area 1500 and
+    rate 300.  So the first pick of Dinkelbach's loop, at lam = 0, is not
+    the optimum, and a second pick must replace it."""
+    days = {2: 2.0, 3: 4.0, 4: 3.0}
+    components = [comp(1, C.SUBSTATION)] + [
+        comp(cid, C.DISTRIBUTION_SEGMENT, days=dict.fromkeys(DAMAGED_STATES, d))
+        for cid, d in days.items()
+    ] + [comp(5, C.WELL), comp(6, C.PIPELINE)]
+    edges = [(1, 2), (1, 3), (1, 4), (5, 6)]
+    cells = [
+        GridCell(id=1, population=400, centroid=(1.0, 0.0),
+                 power_feed=2, water_feed=6),
+        GridCell(id=2, population=300, centroid=(1.0, 1.0),
+                 power_feed=3, water_feed=6),
+    ]
+    retailers = [Retailer(id=1, capacity=10.0, centroid=(0.0, 0.0),
+                          power_feed=2, water_feed=6)]
+    community = Community(components, edges, cells, retailers)
+    mdp = MdpConfig(n_e=2, n_w=1, objective=Objective.MAX_BENEFIT_RATE,
+                    repair_model=RepairModel.REMAINING_WORK)
+    damage = damage_for(community, dict.fromkeys(days, D.MINOR))
+    value, first = exhaustive_oracle(damage, community, mdp)
+    optimum, _ = reference_exhaustive_oracle(damage, community, mdp)
+    assert optimum == pytest.approx(300.0)
+    assert value == pytest.approx(optimum, rel=1e-12, abs=0.0)
+    assert first.assigned_indices() == (1, 2)
+    largest_area, _ = reference_exhaustive_oracle(
+        damage, community, mdp, first=RepairAction((1, 3))
+    )
+    assert largest_area == pytest.approx(1600.0 / 6.0)
 
 
 def test_oracle_computes_each_benefit_once(monkeypatch):

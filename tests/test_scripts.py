@@ -17,7 +17,9 @@ from recovery_rollout.planner import PolicyKind, exhaustive_oracle, run_episode
 from recovery_rollout.scenario import load_scenario
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-DEMO = str(Path(recovery_rollout.__file__).parent / "data" / "oracle_demo.yaml")
+DATA = Path(recovery_rollout.__file__).parent / "data"
+DEMO = str(DATA / "oracle_demo.yaml")
+MINI = str(DATA / "mini_gilroy.yaml")
 
 
 def load_script(name: str):
@@ -37,13 +39,30 @@ def test_oracle_gap_reports_nonnegative_gaps(capsys):
     assert float(match.group(2)) >= 0.0
 
 
+def test_oracle_gap_runs_the_stochastic_scenario_deterministically(capsys):
+    # mini_gilroy plans with exponential repairs; the oracle needs the
+    # remaining-work model, which the script forces
+    script = load_script("oracle_gap")
+    assert script.main(["--scenario", MINI, "--instances", "1"]) == 0
+    assert "1 instances on mini-gilroy" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "argv",
-    [["--instances", "0"], ["--max-damaged", "0"], ["--max-damaged", "8"]],
-    ids=["no-instances", "max-damaged-0", "max-damaged-above-components"],
+    [
+        ["--instances", "0"],
+        ["--max-damaged", "0"],
+        ["--max-damaged", "8"],
+        ["--scenario", MINI, "--max-damaged", "9"],
+    ],
+    ids=[
+        "no-instances", "max-damaged-0", "max-damaged-above-components",
+        "max-damaged-above-oracle-bound",
+    ],
 )
 def test_oracle_gap_rejects_bad_arguments(argv, capsys):
-    # the demo scenario has 7 components
+    # the demo scenario has 7 components; mini_gilroy has 20, above the
+    # oracle's bound of 8 damaged
     script = load_script("oracle_gap")
     with pytest.raises(SystemExit) as exc:
         script.main(argv)
