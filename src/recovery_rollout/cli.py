@@ -8,9 +8,10 @@ Exit codes: 0 success, 1 validation or scenario error, 2 I/O error.
 from __future__ import annotations
 
 import argparse
+import enum
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -54,26 +55,28 @@ def _mean_stderr(values: list[float]) -> tuple[float, float]:
     return mean, float(np.std(values, ddof=1)) / math.sqrt(len(values))
 
 
+def _setting_text(value: object) -> str:
+    if isinstance(value, float):
+        return _fmt(value)
+    if isinstance(value, enum.Enum):
+        return value.value
+    return str(value)
+
+
 def _config_lines(
     scenario: Scenario, seed: int, episodes: int, rollout: RolloutConfig
 ) -> list[str]:
-    mdp = scenario.mdp
-    return [
+    """Run header, then every field of the MDP and rollout configs in
+    declaration order."""
+    lines = [
         f"scenario = {scenario.name}",
         f"seed = {seed}",
         f"episodes = {episodes}",
-        f"n_e = {mdp.n_e}",
-        f"n_w = {mdp.n_w}",
-        f"gamma = {_fmt(mdp.gamma)}",
-        f"objective = {mdp.objective.value}",
-        f"alpha = {_fmt(mdp.alpha)}",
-        f"repair_model = {mdp.repair_model.value}",
-        f"n_mc_min = {rollout.n_mc_min}",
-        f"n_mc_max = {rollout.n_mc_max}",
-        f"se_threshold = {_fmt(rollout.se_threshold)}",
-        f"mode = {rollout.mode.value}",
-        f"action_cap = {rollout.action_cap}",
     ]
+    for config in (scenario.mdp, rollout):
+        for f in fields(config):
+            lines.append(f"{f.name} = {_setting_text(getattr(config, f.name))}")
+    return lines
 
 
 def _curve_text(curve: RestorationCurve) -> str:

@@ -10,6 +10,7 @@ cells onto retailers with a gravity model.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -148,9 +149,9 @@ class Community:
     AND-dependencies unless the dependent is an OR-junction.
 
     Construction raises a ValidationError subclass on any broken invariant;
-    attributes are read-only by convention.  The two benefit memos (by
-    damage vector and by outstanding-set bitmask) are plain dicts on the
-    community, so they live and die with it.
+    attributes are read-only by convention.  The benefit memo, keyed by
+    outstanding-set bitmask, is a plain dict on the community, so it lives
+    and dies with it.
     """
 
     def __init__(
@@ -188,6 +189,7 @@ class Community:
             comp.id: idx for idx, comp in enumerate(self.components)
         }
         n = len(self.components)
+        self.index_bits: tuple[int, ...] = tuple(1 << i for i in range(n))
 
         self._validate_edges()
         supplier_lists: list[list[int]] = [[] for _ in range(n)]
@@ -239,11 +241,11 @@ class Community:
             if self.total_population
             else 1.0
         )
-        # damage vectors recur heavily across simulated trajectories, so
-        # benefit_for_damage_cached memoizes by damage vector, and the
-        # planner's base-policy continuation by outstanding-set bitmask
-        # (bit i set when component index i is damaged)
-        self._benefit_cache: dict[tuple[DamageState, ...], float] = {}
+        # outstanding sets recur heavily across simulated trajectories, so
+        # benefit_for_damage_cached and the planner's base-policy
+        # continuation share one benefit memo keyed by the outstanding-set
+        # bitmask sum(itertools.compress(index_bits, damage)): bit i is set
+        # when component index i is damaged
         self._mask_benefit: dict[int, float] = {}
 
     @property
@@ -364,7 +366,8 @@ def benefit_for_damage(
     community: Community, damage: tuple[DamageState, ...]
 ) -> float:
     """Benefit count straight from a damage vector, uncached: the miss path
-    of benefit_for_damage_cached and of the planner's mask-keyed memo."""
+    of the mask-keyed benefit memo.  It reads only which components are
+    outstanding, not their levels."""
     mask = functional_mask(community, damage)
     ret_ok = [
         mask[community.ret_power_idx[ri]] and mask[community.ret_water_idx[ri]]
@@ -388,12 +391,14 @@ def benefit_for_damage(
 def benefit_for_damage_cached(
     community: Community, damage: tuple[DamageState, ...]
 ) -> float:
-    """Memoized benefit count; safe because damage vectors are immutable."""
-    cache = community._benefit_cache
-    value = cache.get(damage)
+    """Benefit count memoized in community._mask_benefit under the
+    outstanding-set bitmask of `damage`, so damage vectors that differ only
+    in levels share one entry."""
+    memo = community._mask_benefit
+    key = sum(itertools.compress(community.index_bits, damage))
+    value = memo.get(key)
     if value is None:
-        value = benefit_for_damage(community, damage)
-        cache[damage] = value
+        value = memo[key] = benefit_for_damage(community, damage)
     return value
 
 

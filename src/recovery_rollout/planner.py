@@ -12,6 +12,7 @@ depend on execution order.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -205,7 +206,7 @@ def _continuation_tables(
          if damage[i]]
         for order in (base_policy.epn_priority, base_policy.wn_priority)
     )
-    mask = sum(1 << i for i, d in enumerate(damage) if d)
+    mask = sum(itertools.compress(community.index_bits, damage))
     return mask, damage, ((epn, mdp.n_e), (wn, mdp.n_w))
 
 
@@ -224,7 +225,7 @@ def _base_continuation(
     is base_action then transition, term for term: the same picks, the same
     draws read once and written back, the same completion time and reward,
     so returns and draws come out bit-identical.  Benefits are memoized by
-    mask in community._mask_benefit."""
+    mask in community._mask_benefit, shared with benefit_for_damage_cached."""
     _, damage, networks = tables
     gamma = mdp.gamma
     rate = mdp.objective is Objective.MAX_BENEFIT_RATE

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from recovery_rollout import community as community_module
 from recovery_rollout.community import (
     Community,
     Component,
@@ -387,6 +388,26 @@ def two_utility():
 @pytest.fixture
 def desk():
     return desk_community()
+
+
+@pytest.fixture
+def count_mask_calls(monkeypatch):
+    """Call it to start counting the functional_mask calls that go through
+    the community module (the benefit path); it returns a one-element list
+    holding the count."""
+
+    def start() -> list[int]:
+        real_mask = community_module.functional_mask
+        calls = [0]
+
+        def counting_mask(*args):
+            calls[0] += 1
+            return real_mask(*args)
+
+        monkeypatch.setattr(community_module, "functional_mask", counting_mask)
+        return calls
+
+    return start
 
 
 def assert_mask_matches_ids(community: Community, damage, expected_ids):

@@ -14,6 +14,7 @@ from recovery_rollout.community import (
     GridCell,
     Retailer,
     benefit_for_damage,
+    benefit_for_damage_cached,
     functional_mask,
     gravity_weights,
 )
@@ -399,3 +400,16 @@ def test_functional_mask_index_alignment(desk):
     by_id = {desk.components[i].id: mask[i] for i in range(desk.n_components)}
     assert by_id == {1: True, 2: True, 3: True, 4: True, 5: False, 6: False,
                      7: False}
+
+
+def test_cached_benefit_keyed_by_outstanding_set(count_mask_calls):
+    community = desk_community()
+    calls = count_mask_calls()
+    D = DamageState
+    light = damage_for(community, {1: D.MINOR, 5: D.MODERATE})
+    heavy = damage_for(community, {1: COMP, 5: D.EXTENSIVE})
+    first = benefit_for_damage_cached(community, light)
+    second = benefit_for_damage_cached(community, heavy)
+    assert len(community._mask_benefit) == 1
+    assert calls[0] == 1
+    assert second == first == benefit_for_damage(community, heavy)

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 import recovery_rollout
-from recovery_rollout import community as community_module
 from recovery_rollout import planner as planner_module
 from recovery_rollout.community import (
     DAMAGED_STATES,
@@ -21,6 +20,7 @@ from recovery_rollout.community import (
     DamageState,
     GridCell,
     Retailer,
+    benefit_for_damage_cached,
 )
 from recovery_rollout.errors import (
     InstanceTooLarge,
@@ -935,7 +935,7 @@ def test_oracle_rate_runs_dinkelbach_past_the_largest_area():
     assert largest_area == pytest.approx(1600.0 / 6.0)
 
 
-def test_oracle_computes_each_benefit_once(monkeypatch):
+def test_oracle_computes_each_benefit_once(count_mask_calls):
     scenario = load_scenario(
         str(Path(recovery_rollout.__file__).parent / "data" / "oracle_demo.yaml")
     )
@@ -944,19 +944,36 @@ def test_oracle_computes_each_benefit_once(monkeypatch):
     damage = tuple(
         D(int(s)) for s in rng.integers(1, 5, size=community.n_components)
     )
-    real_mask = community_module.functional_mask
-    calls = [0]
-
-    def counting_mask(*args):
-        calls[0] += 1
-        return real_mask(*args)
-
-    monkeypatch.setattr(community_module, "functional_mask", counting_mask)
-    cached_before = len(community._benefit_cache)
+    calls = count_mask_calls()
+    cached_before = len(community._mask_benefit)
     exhaustive_oracle(damage, community, mdp)
-    new_entries = len(community._benefit_cache) - cached_before
+    new_entries = len(community._mask_benefit) - cached_before
     assert new_entries > 1
     assert calls[0] == new_entries
+
+
+def test_cached_benefit_reads_continuation_memo(count_mask_calls):
+    community = desk_community()
+    mdp = MdpConfig(n_e=1, n_w=1, objective=Objective.MAX_BENEFIT_RATE)
+    damage = (D.MINOR,) * community.n_components
+    state = initial_state(community, damage, mdp)
+    first = base_action(state, community, mdp, BASE)
+    trajectory_return(state, first, BASE, mdp, community,
+                      _repair_draws(community.n_components, 0, 0))
+    # the rate objective runs the continuation to full repair: one
+    # outstanding set per completion after the first, down to the empty one
+    visited = list(community._mask_benefit)
+    assert 0 in visited
+    assert len(visited) >= community.n_components - 1
+    calls = count_mask_calls()
+    for mask in visited:
+        # same outstanding set, other levels than the continuation saw
+        probe = tuple(D.COMPLETE if mask >> i & 1 else D.NONE
+                      for i in range(community.n_components))
+        assert benefit_for_damage_cached(community, probe) == (
+            community._mask_benefit[mask]
+        )
+    assert calls[0] == 0
 
 
 def test_planner_keeps_no_community_alive():

@@ -5,16 +5,17 @@ from __future__ import annotations
 import math
 import re
 import warnings
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
 import recovery_rollout
-from recovery_rollout.cli import _fmt, main
+from recovery_rollout.cli import _config_lines, _fmt, main
 from recovery_rollout.community import ComponentClass
 from recovery_rollout.errors import DanglingFeedReference, ParseError
 from recovery_rollout.mdp import Objective, RepairModel
-from recovery_rollout.planner import RolloutMode
+from recovery_rollout.planner import RolloutConfig, RolloutMode
 from recovery_rollout.scenario import load_scenario, parse_scenario
 
 DATA = Path(recovery_rollout.__file__).parent / "data"
@@ -516,6 +517,27 @@ def test_oracle_check_passes_on_demo(capsys):
     assert "oracle_optimum" in out
     assert "gap_pct" in out
     assert "PASS" in out
+
+
+def test_oracle_check_refuses_too_many_damaged(capsys):
+    code = main(["oracle-check", "--scenario", MINI])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: 11 damaged components exceed the oracle bound 8\n"
+    )
+
+
+def test_config_lines_write_every_config_field():
+    @dataclass(frozen=True)
+    class ExtendedRollout(RolloutConfig):
+        beta: float = 0.5
+
+    scenario = load_scenario(MINI)
+    lines = _config_lines(scenario, 3, 2, ExtendedRollout())
+    assert lines[:3] == ["scenario = mini-gilroy", "seed = 3", "episodes = 2"]
+    assert lines[-2:] == ["action_cap = 500", "beta = 0.500000"]
+    assert len(lines) == 3 + 6 + 6
 
 
 def test_sample_damage_csv_and_stdout(tmp_path, capsys):
