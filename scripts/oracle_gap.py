@@ -23,6 +23,7 @@ import numpy as np
 
 import recovery_rollout
 from recovery_rollout.community import DamageState
+from recovery_rollout.errors import RecoveryError
 from recovery_rollout.mdp import RepairModel, initial_state, is_terminal
 from recovery_rollout.planner import (
     _ORACLE_MAX_DAMAGED,
@@ -56,11 +57,16 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
-    scenario = load_scenario(args.scenario)
+    try:
+        scenario = load_scenario(args.scenario)
+    except (OSError, RecoveryError) as exc:
+        parser.error(f"--scenario: {exc}")
     community = scenario.community
     n = min(community.n_components, _ORACLE_MAX_DAMAGED)
-    if args.instances < 1 or not 1 <= args.max_damaged <= n:
-        parser.error(f"need --instances >= 1 and --max-damaged in 1..{n}")
+    if args.instances < 1 or not 1 <= args.max_damaged <= n or args.seed < 0:
+        parser.error(
+            f"need --instances >= 1, --max-damaged in 1..{n} and --seed >= 0"
+        )
     mdp = replace(scenario.mdp, repair_model=RepairModel.REMAINING_WORK)
     rng = np.random.default_rng(args.seed)
 

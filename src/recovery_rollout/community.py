@@ -14,15 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    CrossNetworkViolation,
-    CycleInDependencies,
-    DanglingFeedReference,
-    NoRetailers,
-    NonPositiveRepairTime,
-    ValidationError,
-    ZeroDistance,
-)
+from .errors import ValidationError
 
 
 class Network(enum.Enum):
@@ -105,12 +97,12 @@ class Component:
         previous = 0.0
         for state in DAMAGED_STATES:
             if state not in self.mean_repair_days:
-                raise NonPositiveRepairTime(
+                raise ValidationError(
                     f"component {self.id}: missing repair time for {state.name}"
                 )
             days = float(self.mean_repair_days[state])
             if days <= 0.0:
-                raise NonPositiveRepairTime(
+                raise ValidationError(
                     f"component {self.id}: repair time for {state.name} must be > 0"
                 )
             if days < previous:
@@ -148,7 +140,7 @@ class Community:
     simulation.  Edges run supplier -> dependent and are hard
     AND-dependencies unless the dependent is an OR-junction.
 
-    Construction raises a ValidationError subclass on any broken invariant;
+    Construction raises a ValidationError naming any broken invariant;
     attributes are read-only by convention.  The benefit memo, keyed by
     outstanding-set bitmask, is a plain dict on the community, so it lives
     and dies with it.
@@ -256,19 +248,19 @@ class Community:
         for supplier, dependent in self.edges:
             for cid in (supplier, dependent):
                 if cid not in self.index_of:
-                    raise DanglingFeedReference(
+                    raise ValidationError(
                         f"dependency edge ({supplier} -> {dependent}) references "
                         f"unknown component {cid}"
                     )
             sup = self.components[self.index_of[supplier]]
             dep = self.components[self.index_of[dependent]]
             if dep.network is Network.EPN and sup.network is not Network.EPN:
-                raise CrossNetworkViolation(
+                raise ValidationError(
                     f"EPN component {dependent} cannot depend on "
                     f"{sup.network.value.upper()} component {supplier}"
                 )
             if dep.kind is ComponentClass.PIPELINE and sup.network is not Network.WN:
-                raise CrossNetworkViolation(
+                raise ValidationError(
                     f"pipeline {dependent} cannot depend directly on "
                     f"EPN component {supplier}"
                 )
@@ -292,7 +284,7 @@ class Community:
                     frontier.append(d)
         if len(order) != n:
             stuck = sorted(self.components[i].id for i in range(n) if indegree[i] > 0)
-            raise CycleInDependencies(f"dependency cycle through components {stuck}")
+            raise ValidationError(f"dependency cycle through components {stuck}")
         return tuple(order)
 
     def _validate_feeds(self) -> None:
@@ -305,12 +297,12 @@ class Community:
 
     def _check_feed(self, owner: str, owner_id: int, feed: int, network: Network) -> None:
         if feed not in self.index_of:
-            raise DanglingFeedReference(
+            raise ValidationError(
                 f"{owner} {owner_id}: feed references unknown component {feed}"
             )
         actual = self.components[self.index_of[feed]].network
         if actual is not network:
-            raise CrossNetworkViolation(
+            raise ValidationError(
                 f"{owner} {owner_id}: {network.value} feed points at a "
                 f"{actual.value} component ({feed})"
             )
@@ -342,7 +334,7 @@ def gravity_weights(community: Community) -> tuple[tuple[float, ...], ...]:
     """Cell-by-retailer shopping weights: capacity times inverse-power
     distance, normalized so each row sums to one."""
     if not community.retailers:
-        raise NoRetailers("community has no retailers")
+        raise ValidationError("community has no retailers")
     p = community.gravity_exponent
     rows: list[tuple[float, ...]] = []
     for cell in community.cells:
@@ -352,7 +344,7 @@ def gravity_weights(community: Community) -> tuple[tuple[float, ...], ...]:
             dy = cell.centroid[1] - retailer.centroid[1]
             dist = math.hypot(dx, dy)
             if dist == 0.0:
-                raise ZeroDistance(
+                raise ValidationError(
                     f"cell {cell.id} is co-located with retailer {retailer.id}; "
                     "offset one of the centroids"
                 )

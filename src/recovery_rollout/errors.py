@@ -10,47 +10,9 @@ class ParseError(RecoveryError):
 
 
 class ValidationError(RecoveryError):
-    """A parsed structure violates a semantic invariant."""
-
-
-class CycleInDependencies(ValidationError):
-    """The dependency graph contains a directed cycle."""
-
-
-class DanglingFeedReference(ValidationError):
-    """A cell or retailer references a component id that does not exist."""
-
-
-class CrossNetworkViolation(ValidationError):
-    """A dependency edge crosses networks where the model forbids it."""
-
-
-class NonPositiveRepairTime(ValidationError):
-    """A mean repair time is zero or negative."""
-
-
-class ZeroDistance(ValidationError):
-    """A cell centroid coincides with a retailer centroid."""
-
-
-class NoRetailers(ValidationError):
-    """The community has no retailers, so benefit is undefined."""
-
-
-class NonPositiveIm(ValidationError):
-    """Intensity measure must be strictly positive."""
-
-
-class NonMonotoneFragility(ValidationError):
-    """Exceedance probabilities are not ordered across damage states."""
-
-
-class MissingFragility(ValidationError):
-    """A component has no fragility entry and no damage override."""
-
-
-class ZeroPopulation(ValidationError):
-    """Coverage fraction requested for a community with zero population."""
+    """Input that parses but is broken: a scenario whose meaning is invalid,
+    a broken model invariant, or a bad argument to a public function such
+    as ``reward`` or ``exceedance_prob``; the message names the fault."""
 
 
 class TerminalState(RecoveryError):
@@ -61,9 +23,6 @@ class InadmissibleAction(RecoveryError):
     """Action violates the admissibility rules for the given state."""
 
 
-class ZeroElapsedTime(RecoveryError):
-    """Rate-based reward requested at zero elapsed time."""
-
-
 class InstanceTooLarge(RecoveryError):
-    """Instance exceeds the exhaustive-search guard."""
+    """Instance exceeds one of the schedule oracle's two guards: the number
+    of damaged components, or the number of states in its memo."""

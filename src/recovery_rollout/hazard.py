@@ -14,12 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .community import DAMAGED_STATES, Community, DamageState
-from .errors import (
-    MissingFragility,
-    NonMonotoneFragility,
-    NonPositiveIm,
-    ValidationError,
-)
+from .errors import ValidationError
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -56,7 +51,7 @@ class FragilitySet:
 
     def __post_init__(self) -> None:
         if self.im <= 0.0:
-            raise NonPositiveIm("intensity measure must be > 0")
+            raise ValidationError("intensity measure must be > 0")
         states = tuple(c.damage_state for c in self.curves)
         if states != DAMAGED_STATES:
             raise ValidationError(
@@ -64,7 +59,7 @@ class FragilitySet:
             )
         medians = [c.median_im for c in self.curves]
         if any(b <= a for a, b in zip(medians, medians[1:])):
-            raise NonMonotoneFragility(
+            raise ValidationError(
                 "fragility medians must strictly increase with severity"
             )
 
@@ -72,7 +67,7 @@ class FragilitySet:
 def exceedance_prob(im: float, curve: FragilityCurve) -> float:
     """P(damage >= curve.damage_state) at intensity im."""
     if im <= 0.0:
-        raise NonPositiveIm(f"intensity measure must be > 0, got {im}")
+        raise ValidationError(f"intensity measure must be > 0, got {im}")
     return _std_normal_cdf(math.log(im / curve.median_im) / curve.beta)
 
 
@@ -81,7 +76,7 @@ def damage_pmf(fragility: FragilitySet) -> tuple[float, float, float, float, flo
     differences of the exceedance probabilities."""
     exceed = [exceedance_prob(fragility.im, c) for c in fragility.curves]
     if any(b > a + 1e-12 for a, b in zip(exceed, exceed[1:])):
-        raise NonMonotoneFragility(
+        raise ValidationError(
             "exceedance probabilities increase with severity; curves cross"
         )
     bounds = [1.0] + exceed + [0.0]
@@ -131,7 +126,7 @@ def sample_initial_damage(
     hazard entry."""
     missing = [c.id for c in community.components if c.id not in hazards]
     if missing:
-        raise MissingFragility(f"no hazard entry for components {missing}")
+        raise ValidationError(f"no hazard entry for components {missing}")
     pmfs = [hazards[c.id].damage_pmf() for c in community.components]
     draws = rng.random(community.n_components)
     states: list[DamageState] = []

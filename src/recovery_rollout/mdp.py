@@ -24,13 +24,7 @@ from .community import (
     Network,
     benefit_for_damage_cached,
 )
-from .errors import (
-    InadmissibleAction,
-    TerminalState,
-    ValidationError,
-    ZeroElapsedTime,
-    ZeroPopulation,
-)
+from .errors import InadmissibleAction, TerminalState, ValidationError
 
 
 class Objective(enum.Enum):
@@ -215,7 +209,7 @@ def coverage_fraction(state: RecoveryState, community: Community) -> float:
     """Fraction of the population currently benefitting from both utilities
     and a served retailer."""
     if community.total_population <= 0:
-        raise ZeroPopulation("community population is zero")
+        raise ValidationError("community population is zero")
     return (
         benefit_for_damage_cached(community, state.damage)
         / community.total_population
@@ -246,7 +240,7 @@ def reward(
     if config.objective is Objective.MIN_TIME_TO_COVERAGE:
         return -completion_time
     if next_state.elapsed_time <= 0.0:
-        raise ZeroElapsedTime("benefit rate undefined at zero elapsed time")
+        raise ValidationError("benefit rate undefined at zero elapsed time")
     return (
         benefit_for_damage_cached(community, next_state.damage)
         / next_state.elapsed_time

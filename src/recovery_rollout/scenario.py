@@ -1,10 +1,11 @@
 """Scenario files: one YAML document describing the community, the hazard,
 and the run configuration.  One file is one reproducible experiment.
 
-Parsing reports the offending field path; semantic problems propagate as
-the specific ValidationError raised by the model builders.  The mdp and
-rollout sections and each cell and retailer entry are read field by field
-from their dataclasses, so their types and defaults are declared there only.
+Parsing reports the offending field path in a ParseError; a semantic
+problem propagates as the model builder's ValidationError, whose message
+names the broken invariant.  The mdp and rollout sections and each cell
+and retailer entry are read field by field from their dataclasses, so
+their types and defaults are declared there only.
 """
 
 from __future__ import annotations

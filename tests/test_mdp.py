@@ -18,7 +18,6 @@ from recovery_rollout.errors import (
     InadmissibleAction,
     TerminalState,
     ValidationError,
-    ZeroElapsedTime,
 )
 from recovery_rollout.mdp import (
     MdpConfig,
@@ -396,7 +395,9 @@ def test_benefit_rate_rejects_zero_elapsed():
     community = two_utility_community()
     config = MdpConfig(n_e=1, n_w=1, objective=Objective.MAX_BENEFIT_RATE)
     nxt = RecoveryState(damage=damage_for(community, {}), elapsed_time=0.0)
-    with pytest.raises(ZeroElapsedTime):
+    with pytest.raises(
+        ValidationError, match="benefit rate undefined at zero elapsed time"
+    ):
         reward(nxt, 1.0, community, config)
 
 

@@ -7,13 +7,15 @@ import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import pytest
+import yaml
 
 import recovery_rollout
 from recovery_rollout.cli import _config_lines, _fmt, main
 from recovery_rollout.community import ComponentClass
-from recovery_rollout.errors import DanglingFeedReference, ParseError
+from recovery_rollout.errors import ParseError, ValidationError
 from recovery_rollout.mdp import Objective, RepairModel
 from recovery_rollout.planner import RolloutConfig, RolloutMode
 from recovery_rollout.scenario import load_scenario, parse_scenario
@@ -151,7 +153,9 @@ def test_non_finite_number_rejected(keys, value):
 def test_dangling_feed_reference():
     doc = minimal_doc()
     doc["cells"][0]["water_feed"] = 99
-    with pytest.raises(DanglingFeedReference):
+    with pytest.raises(
+        ValidationError, match="cell 1: feed references unknown component 99"
+    ):
         parse_scenario(doc)
 
 
@@ -436,6 +440,94 @@ def test_malformed_scenario_is_validation_error(tmp_path, capsys):
     code = main(["plan", "--scenario", str(bad), "--out", str(tmp_path)])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def _curves(*pairs: tuple[float, float]) -> dict:
+    return {
+        state: {"median": median, "beta": beta}
+        for state, (median, beta) in zip(
+            ("minor", "moderate", "extensive", "complete"), pairs
+        )
+    }
+
+
+_INCREASING = _curves((0.2, 0.6), (0.4, 0.6), (0.8, 0.6), (1.6, 0.6))
+
+
+def _set_fragility(im: float, curves: dict) -> Callable[[dict], None]:
+    def mutate(doc: dict) -> None:
+        doc["hazard"]["components"][1] = {"im": im, "curves": curves}
+    return mutate
+
+
+def _set_field(key: str, index: int, field: str, value) -> Callable[[dict], None]:
+    def mutate(doc: dict) -> None:
+        doc[key][index][field] = value
+    return mutate
+
+
+def _add_edge(supplier: int, dependent: int) -> Callable[[dict], None]:
+    return lambda doc: doc["edges"].append([supplier, dependent])
+
+
+def _zero_population(doc: dict) -> None:
+    for cell in doc["cells"]:
+        cell["population"] = 0
+
+
+# one row per model check a scenario file can reach: (command, mutation of
+# oracle_demo.yaml, the stderr line main prints)
+BROKEN_SCENARIOS = {
+    "cycle": ("sample-damage", _add_edge(7, 5),
+              "dependency cycle through components [5, 6, 7]"),
+    "edge-to-unknown-id": (
+        "sample-damage", _add_edge(1, 99),
+        "dependency edge (1 -> 99) references unknown component 99"),
+    "feed-to-unknown-id": (
+        "sample-damage", _set_field("cells", 0, "power_feed", 99),
+        "cell 1: feed references unknown component 99"),
+    "feed-into-wrong-network": (
+        "sample-damage", _set_field("retailers", 0, "water_feed", 3),
+        "retailer 1: wn feed points at a epn component (3)"),
+    "epn-on-wn": ("sample-damage", _add_edge(6, 4),
+                  "EPN component 4 cannot depend on WN component 6"),
+    "pipeline-on-epn": ("sample-damage", _add_edge(1, 7),
+                        "pipeline 7 cannot depend directly on EPN component 1"),
+    "zero-repair-days": (
+        "sample-damage",
+        lambda doc: doc["components"][6]["repair_days"].update(minor=0),
+        "component 7: repair time for MINOR must be > 0"),
+    "cell-on-retailer-centroid": (
+        "sample-damage", _set_field("cells", 1, "centroid", [2.4, 0.3]),
+        "cell 2 is co-located with retailer 1; offset one of the centroids"),
+    "no-retailers": ("sample-damage", lambda doc: doc.update(retailers=[]),
+                     "community has no retailers"),
+    "non-positive-im": ("sample-damage", _set_fragility(0.0, _INCREASING),
+                        "intensity measure must be > 0"),
+    "medians-not-increasing": (
+        "sample-damage",
+        _set_fragility(0.5, _curves((0.4, 0.6), (0.4, 0.6), (0.8, 0.6), (1.6, 0.6))),
+        "fragility medians must strictly increase with severity"),
+    "curves-cross": (
+        "sample-damage",
+        _set_fragility(0.5, _curves((1.0, 0.1), (1.1, 2.0), (2.0, 0.6), (4.0, 0.6))),
+        "exceedance probabilities increase with severity; curves cross"),
+    "missing-hazard-entry": ("sample-damage", lambda doc: doc["hazard"].pop("default"),
+                             "no hazard entry for components [3, 7]"),
+    "zero-population": ("plan", _zero_population, "community population is zero"),
+}
+
+
+@pytest.mark.parametrize("row", list(BROKEN_SCENARIOS), ids=list(BROKEN_SCENARIOS))
+def test_broken_scenario_exits_1_naming_its_fault(row, tmp_path, capsys):
+    command, mutate, message = BROKEN_SCENARIOS[row]
+    doc = yaml.safe_load(Path(DEMO).read_text(encoding="utf-8"))
+    mutate(doc)
+    broken = tmp_path / "broken.yaml"
+    broken.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    code = main([command, "--scenario", str(broken), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def check_paired_lines(summary: str, minimize: bool) -> list[str]:

@@ -54,10 +54,12 @@ def test_oracle_gap_runs_the_stochastic_scenario_deterministically(capsys):
         ["--max-damaged", "0"],
         ["--max-damaged", "8"],
         ["--scenario", MINI, "--max-damaged", "9"],
+        ["--seed", "-1"],
+        ["--scenario", str(DATA / "no_such_scenario.yaml")],
     ],
     ids=[
         "no-instances", "max-damaged-0", "max-damaged-above-components",
-        "max-damaged-above-oracle-bound",
+        "max-damaged-above-oracle-bound", "negative-seed", "missing-scenario",
     ],
 )
 def test_oracle_gap_rejects_bad_arguments(argv, capsys):
@@ -68,6 +70,17 @@ def test_oracle_gap_rejects_bad_arguments(argv, capsys):
         script.main(argv)
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_oracle_gap_rejects_malformed_scenario(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("components: []\n", encoding="utf-8")
+    script = load_script("oracle_gap")
+    with pytest.raises(SystemExit) as exc:
+        script.main(["--scenario", str(bad)])
+    assert exc.value.code == 2
+    message = f"error: --scenario: {bad}.components: expected a non-empty list"
+    assert message in capsys.readouterr().err
 
 
 def test_oracle_rate_never_beaten_on_script_instances(tmp_path):
