@@ -4,7 +4,10 @@ The community is a directed acyclic dependency graph over electrical (EPN)
 and water (WN) components.  A component is functional when it is undamaged
 and its suppliers are functional; service to grid cells and retailers is
 read off the functional set, and the benefitted-population count weights
-cells onto retailers with a gravity model.
+cells onto retailers with a gravity model.  Sets of components are int
+bitmasks over component indices (bit i is index i): the cascade maps the
+outstanding set to the functional set, and the benefit is a function of
+the outstanding set alone.
 """
 
 from __future__ import annotations
@@ -140,10 +143,13 @@ class Community:
     simulation.  Edges run supplier -> dependent and are hard
     AND-dependencies unless the dependent is an OR-junction.
 
-    Construction raises a ValidationError naming any broken invariant;
-    attributes are read-only by convention.  The benefit memo, keyed by
-    outstanding-set bitmask, is a plain dict on the community, so it lives
-    and dies with it.
+    The cascade and the service checks work on bitmasks: `cascade` holds
+    each component's supplier bitmask in topological order, and
+    `cell_feeds` / `retailer_feeds` each one's pair of feeds.  Construction
+    raises a ValidationError naming any broken invariant; attributes are
+    read-only by convention.  The benefit memo, keyed by outstanding-set
+    bitmask, is a plain dict on the community, so it lives and dies with
+    it.
     """
 
     def __init__(
@@ -184,13 +190,17 @@ class Community:
         self.index_bits: tuple[int, ...] = tuple(1 << i for i in range(n))
 
         self._validate_edges()
-        supplier_lists: list[list[int]] = [[] for _ in range(n)]
+        supplier_bits = [0] * n
         for supplier, dependent in self.edges:
-            supplier_lists[self.index_of[dependent]].append(self.index_of[supplier])
-        self.suppliers: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(s)) for s in supplier_lists
+            supplier_bits[self.index_of[dependent]] |= 1 << self.index_of[supplier]
+        # the cascade in topological order: per component its bit, its
+        # suppliers' bitmask, and whether one functional supplier suffices
+        # (an OR-junction with suppliers)
+        self.cascade: tuple[tuple[int, int, bool], ...] = tuple(
+            (1 << i, supplier_bits[i],
+             self.components[i].any_supplier and bool(supplier_bits[i]))
+            for i in self._toposort()
         )
-        self.topo_order: tuple[int, ...] = self._toposort()
 
         self.network_of: tuple[Network, ...] = tuple(
             c.network for c in self.components
@@ -208,9 +218,6 @@ class Community:
         self.wn_indices: tuple[int, ...] = tuple(
             i for i in range(n) if self.network_of[i] is Network.WN
         )
-        self.any_supplier_flags: tuple[bool, ...] = tuple(
-            c.any_supplier for c in self.components
-        )
         # repair_means[idx][state] with index 0 (NONE) unused
         self.repair_means: tuple[tuple[float, ...], ...] = tuple(
             (math.nan,) + tuple(c.mean_repair_days[s] for s in DAMAGED_STATES)
@@ -218,10 +225,15 @@ class Community:
         )
 
         self._validate_feeds()
-        self.cell_power_idx = tuple(self.index_of[c.power_feed] for c in self.cells)
-        self.cell_water_idx = tuple(self.index_of[c.water_feed] for c in self.cells)
-        self.ret_power_idx = tuple(self.index_of[r.power_feed] for r in self.retailers)
-        self.ret_water_idx = tuple(self.index_of[r.water_feed] for r in self.retailers)
+        # per cell and per retailer, the bitmask of its power and water
+        # feeds: served when both are functional
+        self.cell_feeds, self.retailer_feeds = (
+            tuple(
+                1 << self.index_of[x.power_feed] | 1 << self.index_of[x.water_feed]
+                for x in owners
+            )
+            for owners in (self.cells, self.retailers)
+        )
         self.populations: tuple[int, ...] = tuple(c.population for c in self.cells)
         self.total_population: int = sum(self.populations)
 
@@ -229,7 +241,7 @@ class Community:
         # the covered fraction with nothing damaged: 1 up to rounding in
         # the weights, which can leave it one ulp short
         self.full_coverage: float = (
-            benefit_for_damage(self, (DamageState.NONE,) * n) / self.total_population
+            benefit_for_damage(self, 0) / self.total_population
             if self.total_population
             else 1.0
         )
@@ -308,26 +320,21 @@ class Community:
             )
 
 
-def functional_mask(
-    community: Community, damage: tuple[DamageState, ...]
-) -> list[bool]:
-    """Per-index functionality flags: undamaged and all (or, for an
-    OR-junction, at least one) suppliers functional.  Well defined because
-    the graph is acyclic; computed in one topological pass."""
-    mask = [False] * community.n_components
-    suppliers = community.suppliers
-    any_flags = community.any_supplier_flags
-    for i in community.topo_order:
-        if damage[i]:  # NONE is the only falsy level
+def functional_mask(community: Community, outstanding: int) -> int:
+    """Bitmask of the functional components (bit i is component index i)
+    when the components in the bitmask `outstanding` await repair: each is
+    functional when not outstanding and all (or, for an OR-junction, at
+    least one) of its suppliers are functional; one with no suppliers works
+    once repaired.  Well defined because the graph is acyclic; computed in
+    one topological pass."""
+    functional = 0
+    for bit, suppliers, any_one in community.cascade:
+        if outstanding & bit:
             continue
-        sup = suppliers[i]
-        if not sup:
-            mask[i] = True
-        elif any_flags[i]:
-            mask[i] = any(mask[s] for s in sup)
-        else:
-            mask[i] = all(mask[s] for s in sup)
-    return mask
+        up = functional & suppliers
+        if up if any_one else up == suppliers:
+            functional |= bit
+    return functional
 
 
 def gravity_weights(community: Community) -> tuple[tuple[float, ...], ...]:
@@ -354,23 +361,17 @@ def gravity_weights(community: Community) -> tuple[tuple[float, ...], ...]:
     return tuple(rows)
 
 
-def benefit_for_damage(
-    community: Community, damage: tuple[DamageState, ...]
-) -> float:
-    """Benefit count straight from a damage vector, uncached: the miss path
-    of the mask-keyed benefit memo.  It reads only which components are
-    outstanding, not their levels."""
-    mask = functional_mask(community, damage)
-    ret_ok = [
-        mask[community.ret_power_idx[ri]] and mask[community.ret_water_idx[ri]]
-        for ri in range(len(community.retailers))
-    ]
+def benefit_for_damage(community: Community, outstanding: int) -> float:
+    """Benefit count of the outstanding-set bitmask `outstanding`, uncached:
+    the miss path of the mask-keyed benefit memo."""
+    functional = functional_mask(community, outstanding)
+    ret_ok = [functional & feeds == feeds for feeds in community.retailer_feeds]
     if not any(ret_ok):
         return 0.0
     total = 0.0
     weights = community.weights
-    for ci in range(len(community.cells)):
-        if mask[community.cell_power_idx[ci]] and mask[community.cell_water_idx[ci]]:
+    for ci, feeds in enumerate(community.cell_feeds):
+        if functional & feeds == feeds:
             row = weights[ci]
             served = 0.0
             for ri, ok in enumerate(ret_ok):
@@ -390,16 +391,5 @@ def benefit_for_damage_cached(
     key = sum(itertools.compress(community.index_bits, damage))
     value = memo.get(key)
     if value is None:
-        value = memo[key] = benefit_for_damage(community, damage)
+        value = memo[key] = benefit_for_damage(community, key)
     return value
-
-
-def fractions_from_mask(
-    community: Community, mask: list[bool]
-) -> tuple[float, float]:
-    """(EPN, WN) fractions of components functional under a mask."""
-    epn = community.epn_indices
-    wn = community.wn_indices
-    epn_frac = sum(1 for i in epn if mask[i]) / len(epn) if epn else 1.0
-    wn_frac = sum(1 for i in wn if mask[i]) / len(wn) if wn else 1.0
-    return epn_frac, wn_frac

@@ -25,7 +25,6 @@ from .community import (
     Network,
     benefit_for_damage,
     benefit_for_damage_cached,
-    fractions_from_mask,
     functional_mask,
 )
 from .errors import InstanceTooLarge, TerminalState, ValidationError
@@ -193,9 +192,9 @@ def _continuation_tables(
     community: Community,
 ) -> tuple:
     """What the base-policy continuation from `state` reads, built once per
-    state: the outstanding set as a bitmask (bit i is component index i),
-    the damage vector, and per network its crew count and its outstanding
-    components as (bit, index, repair mean) in base_action's order.
+    state: the outstanding set as a bitmask (bit i is component index i)
+    and per network its crew count and its outstanding components as
+    (bit, index, repair mean) in base_action's order.
     Levels only ever drop to NONE inside an episode, so the means stay
     valid for every state the continuation reaches."""
     damage = state.damage
@@ -207,7 +206,7 @@ def _continuation_tables(
         for order in (base_policy.epn_priority, base_policy.wn_priority)
     )
     mask = sum(itertools.compress(community.index_bits, damage))
-    return mask, damage, ((epn, mdp.n_e), (wn, mdp.n_w))
+    return mask, ((epn, mdp.n_e), (wn, mdp.n_w))
 
 
 def _base_continuation(
@@ -226,7 +225,7 @@ def _base_continuation(
     draws read once and written back, the same completion time and reward,
     so returns and draws come out bit-identical.  Benefits are memoized by
     mask in community._mask_benefit, shared with benefit_for_damage_cached."""
-    _, damage, networks = tables
+    _, networks = tables
     gamma = mdp.gamma
     rate = mdp.objective is Objective.MAX_BENEFIT_RATE
     threshold = min(mdp.alpha, community.full_coverage)  # as in is_terminal
@@ -258,11 +257,7 @@ def _base_continuation(
         elapsed += best_t
         benefit = memo.get(mask)
         if benefit is None:
-            benefit = memo[mask] = benefit_for_damage(
-                community,
-                tuple(d if mask >> i & 1 else DamageState.NONE
-                      for i, d in enumerate(damage)),
-            )
+            benefit = memo[mask] = benefit_for_damage(community, mask)
         disc *= gamma
         if rate:
             total += disc * (benefit / elapsed)
@@ -531,13 +526,16 @@ def _observe(
     retailer_recovery: list[float],
 ) -> tuple[float, float, float, float]:
     """Curve point for the state; also backfills retailer recovery times."""
-    mask = functional_mask(community, state.damage)
-    for ri in range(len(community.retailers)):
-        if retailer_recovery[ri] == math.inf and (
-            mask[community.ret_power_idx[ri]] and mask[community.ret_water_idx[ri]]
-        ):
+    functional = functional_mask(
+        community, sum(itertools.compress(community.index_bits, state.damage))
+    )
+    for ri, feeds in enumerate(community.retailer_feeds):
+        if retailer_recovery[ri] == math.inf and functional & feeds == feeds:
             retailer_recovery[ri] = state.elapsed_time
-    epn_frac, wn_frac = fractions_from_mask(community, mask)
+    epn_frac, wn_frac = (
+        sum(functional >> i & 1 for i in ix) / len(ix) if ix else 1.0
+        for ix in (community.epn_indices, community.wn_indices)
+    )
     return (
         state.elapsed_time,
         benefit_for_damage_cached(community, state.damage),

@@ -154,14 +154,21 @@ def random_dag_community(rng: np.random.Generator, max_nodes: int = 30) -> Commu
     return Community(components, edges, cells, retailers)
 
 
+def outstanding_mask(community: Community, damage: tuple[DamageState, ...]) -> int:
+    """Bitmask of the damaged component indices (bit i is index i)."""
+    return sum(1 << i for i in range(community.n_components) if damage[i])
+
+
 def functional_set(
     community: Community, damage: tuple[DamageState, ...]
 ) -> frozenset[int]:
     """Ids of functional components under the given damage vector, read
-    off the package's mask."""
-    mask = functional_mask(community, damage)
+    off the package's functional bitmask."""
+    functional = functional_mask(community, outstanding_mask(community, damage))
     return frozenset(
-        community.components[i].id for i in range(community.n_components) if mask[i]
+        community.components[i].id
+        for i in range(community.n_components)
+        if functional >> i & 1
     )
 
 
@@ -171,6 +178,9 @@ def iterative_removal_oracle(
     """Fixed point by repeated sweeps: start from all undamaged components,
     drop any whose supplier support fails (every supplier for AND nodes, all
     suppliers for OR nodes), repeat until stable."""
+    suppliers: list[list[int]] = [[] for _ in range(community.n_components)]
+    for supplier, dependent in community.edges:
+        suppliers[community.index_of[dependent]].append(community.index_of[supplier])
     alive = {
         i
         for i in range(community.n_components)
@@ -180,10 +190,10 @@ def iterative_removal_oracle(
     while changed:
         changed = False
         for i in sorted(alive):
-            sup = community.suppliers[i]
+            sup = suppliers[i]
             if not sup:
                 continue
-            if community.any_supplier_flags[i]:
+            if community.components[i].any_supplier:
                 ok = any(s in alive for s in sup)
             else:
                 ok = all(s in alive for s in sup)
@@ -409,12 +419,3 @@ def count_mask_calls(monkeypatch):
 
     return start
 
-
-def assert_mask_matches_ids(community: Community, damage, expected_ids):
-    mask = functional_mask(community, damage)
-    got = {
-        community.components[i].id
-        for i in range(community.n_components)
-        if mask[i]
-    }
-    assert got == set(expected_ids)

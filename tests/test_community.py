@@ -3,17 +3,20 @@
 from __future__ import annotations
 
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import recovery_rollout
 from recovery_rollout.community import (
     Community,
     ComponentClass,
     DamageState,
     GridCell,
+    Network,
     Retailer,
     benefit_for_damage,
     benefit_for_damage_cached,
@@ -21,6 +24,7 @@ from recovery_rollout.community import (
     gravity_weights,
 )
 from recovery_rollout.errors import ValidationError
+from recovery_rollout.scenario import load_scenario
 
 from conftest import (
     benefit_count,
@@ -29,6 +33,7 @@ from conftest import (
     desk_community,
     functional_set,
     iterative_removal_oracle,
+    outstanding_mask,
     random_dag_community,
     service_status,
     two_utility_community,
@@ -297,24 +302,87 @@ def test_benefit_partial_retailer_weights():
         ],
     )
     damage = damage_for(community, {3: COMP})
-    assert benefit_for_damage(community, damage) == pytest.approx(80.0)
+    assert benefit_for_damage(
+        community, outstanding_mask(community, damage)
+    ) == pytest.approx(80.0)
 
 
 def test_benefit_zero_without_any_full_retailer(desk):
     damage = damage_for(desk, {7: EXT})
-    assert benefit_for_damage(desk, damage) == 0.0
+    assert benefit_for_damage(desk, outstanding_mask(desk, damage)) == 0.0
 
 
 def test_benefit_full_restoration_is_total_population(desk):
     damage = damage_for(desk, {})
-    assert benefit_for_damage(desk, damage) == pytest.approx(1000.0)
+    assert benefit_for_damage(
+        desk, outstanding_mask(desk, damage)
+    ) == pytest.approx(1000.0)
 
 
 def test_benefit_count_matches_mask_path(desk):
     damage = damage_for(desk, {4: EXT})
     status = service_status(desk, functional_set(desk, damage))
     expected = benefit_count(desk, status, desk.weights)
-    assert benefit_for_damage(desk, damage) == pytest.approx(expected)
+    assert benefit_for_damage(
+        desk, outstanding_mask(desk, damage)
+    ) == pytest.approx(expected)
+
+
+def assert_benefit_matches_reference(community, rng, n_sets):
+    """benefit_for_damage on random outstanding sets equals the set-based
+    benefit oracle fed the fixed-point cascade, exactly."""
+    n = community.n_components
+    for _ in range(n_sets):
+        p = rng.random()
+        damage = tuple(
+            DamageState(int(rng.integers(1, 5))) if rng.random() < p else N
+            for _ in range(n)
+        )
+        functional = iterative_removal_oracle(community, damage)
+        expected = benefit_count(
+            community, service_status(community, functional), community.weights
+        )
+        assert benefit_for_damage(community, outstanding_mask(community, damage)) == (
+            expected
+        )
+
+
+def test_benefit_matches_set_reference_on_mini_gilroy():
+    community = load_scenario(
+        str(Path(recovery_rollout.__file__).parent / "data" / "mini_gilroy.yaml")
+    ).community
+    assert any(c.any_supplier for c in community.components)
+    assert_benefit_matches_reference(community, np.random.default_rng(0), 1000)
+
+
+def test_benefit_matches_set_reference_on_random_dags():
+    """random_dag_community's graphs with cells and retailers fed from
+    random EPN components, so the benefit reads the cascade, OR-junctions
+    included."""
+    rng = np.random.default_rng(1)
+    or_junctions = 0
+    for _ in range(40):
+        dag = random_dag_community(rng, max_nodes=20)
+        epn = [c.id for c in dag.components if c.network is Network.EPN]
+        water = dag.components[-1].id
+        cells = [
+            GridCell(id=k, population=int(rng.integers(1, 100)),
+                     centroid=(float(k), 1.0),
+                     power_feed=int(rng.choice(epn)), water_feed=water)
+            for k in range(1, 6)
+        ]
+        retailers = [
+            Retailer(id=k, capacity=float(rng.integers(1, 10)),
+                     centroid=(float(k) + 0.5, -1.0),
+                     power_feed=int(rng.choice(epn)), water_feed=water)
+            for k in range(1, 4)
+        ]
+        community = Community(
+            list(dag.components), list(dag.edges), cells, retailers
+        )
+        or_junctions += sum(c.any_supplier for c in community.components)
+        assert_benefit_matches_reference(community, rng, 30)
+    assert or_junctions > 0
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -345,9 +413,9 @@ def test_worsening_damage_never_adds_function(seed):
     fs_base = functional_set(community, tuple(base))
     fs_worse = functional_set(community, tuple(worse))
     assert fs_worse <= fs_base
-    assert benefit_for_damage(community, tuple(worse)) <= benefit_for_damage(
-        community, tuple(base)
-    ) + 1e-9
+    assert benefit_for_damage(
+        community, outstanding_mask(community, worse)
+    ) <= benefit_for_damage(community, outstanding_mask(community, base)) + 1e-9
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -379,7 +447,7 @@ def test_gravity_rows_normalized_and_benefit_bounded(seed):
     damage = tuple(
         DamageState(int(rng.integers(0, 5))) for _ in range(community.n_components)
     )
-    value = benefit_for_damage(community, damage)
+    value = benefit_for_damage(community, outstanding_mask(community, damage))
     assert 0.0 <= value <= community.total_population + 1e-9
 
 
@@ -405,8 +473,11 @@ def test_duplicate_ids_rejected(owner):
 
 def test_functional_mask_index_alignment(desk):
     damage = damage_for(desk, {5: COMP})
-    mask = functional_mask(desk, damage)
-    by_id = {desk.components[i].id: mask[i] for i in range(desk.n_components)}
+    functional = functional_mask(desk, outstanding_mask(desk, damage))
+    by_id = {
+        desk.components[i].id: bool(functional >> i & 1)
+        for i in range(desk.n_components)
+    }
     assert by_id == {1: True, 2: True, 3: True, 4: True, 5: False, 6: False,
                      7: False}
 
@@ -421,4 +492,6 @@ def test_cached_benefit_keyed_by_outstanding_set(count_mask_calls):
     second = benefit_for_damage_cached(community, heavy)
     assert len(community._mask_benefit) == 1
     assert calls[0] == 1
-    assert second == first == benefit_for_damage(community, heavy)
+    assert second == first == benefit_for_damage(
+        community, outstanding_mask(community, heavy)
+    )

@@ -109,7 +109,7 @@ def test_any_supplier_must_be_a_boolean(flag):
     ):
         parse_scenario(doc)
     doc["components"][1]["any_supplier"] = True
-    assert parse_scenario(doc).community.any_supplier_flags[1] is True
+    assert parse_scenario(doc).community.components[1].any_supplier is True
 
 
 NUMBER_FIELDS = [
@@ -515,6 +515,28 @@ BROKEN_SCENARIOS = {
     "missing-hazard-entry": ("sample-damage", lambda doc: doc["hazard"].pop("default"),
                              "no hazard entry for components [3, 7]"),
     "zero-population": ("plan", _zero_population, "community population is zero"),
+    "repair-days-decrease": (
+        "sample-damage",
+        lambda doc: doc["components"][6]["repair_days"].update(moderate=0.4),
+        "component 7: repair times must not decrease with severity"),
+    "zero-capacity": ("sample-damage", _set_field("retailers", 0, "capacity", 0.0),
+                      "retailer 1: capacity must be > 0"),
+    "zero-gravity-exponent": (
+        "sample-damage", lambda doc: doc.update(gravity_exponent=0.0),
+        "gravity_exponent must be > 0"),
+    "zero-median": (
+        "sample-damage",
+        _set_fragility(0.5, _curves((0.0, 0.6), (0.4, 0.6), (0.8, 0.6), (1.6, 0.6))),
+        "fragility median must be > 0"),
+    "zero-beta": (
+        "sample-damage",
+        _set_fragility(0.5, _curves((0.2, 0.0), (0.4, 0.6), (0.8, 0.6), (1.6, 0.6))),
+        "fragility dispersion must be > 0"),
+    "pmf-negative-entry": (
+        "sample-damage",
+        lambda doc: doc["hazard"]["components"].update(
+            {1: {"pmf": [1.1, -0.1, 0, 0, 0]}}),
+        "damage pmf needs 5 nonnegative entries"),
 }
 
 
@@ -528,6 +550,22 @@ def test_broken_scenario_exits_1_naming_its_fault(row, tmp_path, capsys):
     code = main([command, "--scenario", str(broken), "--out", str(tmp_path / "out")])
     assert code == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_negative_seed_exits_1(capsys):
+    assert main(["sample-damage", "--scenario", DEMO, "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == (
+        "error: seed must fit in an unsigned 64-bit integer\n"
+    )
+
+
+def test_oracle_check_on_undamaged_scenario_exits_1(tmp_path, capsys):
+    doc = yaml.safe_load(Path(DEMO).read_text(encoding="utf-8"))
+    doc["hazard"]["components"] = {}
+    undamaged = tmp_path / "undamaged.yaml"
+    undamaged.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    assert main(["oracle-check", "--scenario", str(undamaged)]) == 1
+    assert capsys.readouterr().err == "error: initial state is already terminal\n"
 
 
 def check_paired_lines(summary: str, minimize: bool) -> list[str]:
