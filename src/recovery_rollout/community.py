@@ -355,8 +355,16 @@ def gravity_weights(community: Community) -> tuple[tuple[float, ...], ...]:
                     f"cell {cell.id} is co-located with retailer {retailer.id}; "
                     "offset one of the centroids"
                 )
-            raw.append(retailer.capacity * dist**-p)
+            try:
+                raw.append(retailer.capacity * dist**-p)
+            except OverflowError:
+                raw.append(math.inf)
         total = sum(raw)
+        if not 0.0 < total < math.inf:
+            raise ValidationError(
+                f"cell {cell.id}: gravity weights overflow or underflow at "
+                f"gravity_exponent {p:g}; lower it"
+            )
         rows.append(tuple(w / total for w in raw))
     return tuple(rows)
 

@@ -2,11 +2,11 @@
 simulator.
 
 A state is the damage vector plus elapsed time.  An action assigns each
-network's repair crews to damaged components of that network.  A step draws
-repair times, advances time to the first completion, repairs that component,
-and pays a reward that depends on the configured objective.  Scheduling is
-preemptive: crews are reassigned from scratch at every decision epoch, which
-is lossless for exponential repair times.
+network's repair crews to damaged components of that network.  A step reads
+the assigned components' outstanding work, advances time to the first
+completion, repairs every component that finishes then, and pays a reward
+that depends on the configured objective.  Scheduling is preemptive: crews
+are reassigned at every decision epoch, lossless for exponential repairs.
 """
 
 from __future__ import annotations
@@ -260,54 +260,45 @@ def transition(
     ones whose level in next_state is NONE.  The action is not checked
     (see check_admissible).
 
-    Under exponential repair times, draws[i] is component i's outstanding
-    repair requirement in unit-mean-exponential units.  Each assigned entry
-    is read once, and the non-finishers' entries are written back minus the
-    progress made.  Tracking the outstanding requirement across epochs is
-    distributionally identical to redrawing fresh times after every
-    preemption (memorylessness), but it lets two simulations that start
-    from copies of one list face exactly the same repair workloads, which
-    is what makes paired comparisons low-variance.  The deterministic
-    repair model draws no noise, so draws may be None there."""
-    assigned = action.indices
+    Both repair models follow one rule.  Assigned component i has
+    outstanding work w_i in units of m_i: draws[i] (unit-mean exponential)
+    and its repair mean under exponential repairs, state.remaining_work[i]
+    (days) and 1.0 under remaining work, where draws may be None.  The
+    step lasts t = min m_i*w_i, sets w_i <- w_i - t/m_i, and repairs every
+    component left with w_i <= 1e-12, setting its entry to 0.0.  Each
+    assigned draw is read once and written back once.  Tracking the
+    outstanding requirement across epochs is distributionally identical
+    to redrawing after every preemption (memorylessness), but it lets two
+    simulations that start from copies of one list face exactly the same
+    repair workloads, which is what makes paired comparisons low-variance."""
     damage = list(state.damage)
-
     if config.repair_model is RepairModel.EXPONENTIAL:
-        best_i = -1
-        best_t = math.inf
-        work = []
-        for i in assigned:
-            mean = community.repair_means[i][int(damage[i])]
-            u = draws[i]
-            work.append((i, mean, u))
-            t = mean * u
-            if t < best_t:
-                best_t = t
-                best_i = i
-        completion = best_t
-        for i, mean, u in work:
-            if i != best_i:
-                draws[i] = u - completion / mean
-        damage[best_i] = DamageState.NONE
-        next_remaining: tuple[float, ...] | None = None
+        work, means = draws, community.repair_means
+    elif state.remaining_work is None:
+        raise ValidationError(
+            "remaining-work repair model needs remaining_work in the state"
+        )
     else:
-        remaining = list(state.remaining_work or ())
-        if not remaining:
-            raise ValidationError(
-                "remaining-work repair model needs remaining_work in the state"
-            )
-        completion = min(remaining[i] for i in assigned)
-        for i in assigned:
-            left = remaining[i] - completion
-            if left <= 1e-12:
-                left = 0.0
-                damage[i] = DamageState.NONE
-            remaining[i] = left
-        next_remaining = tuple(remaining)
+        work, means = list(state.remaining_work), None
+    steps = []
+    completion = math.inf
+    for i in action.indices:
+        m = 1.0 if means is None else means[i][int(damage[i])]
+        u = work[i]
+        steps.append((i, m, u))
+        t = m * u
+        if t < completion:
+            completion = t
+    for i, m, u in steps:
+        left = u - completion / m
+        if left <= 1e-12:
+            left = 0.0
+            damage[i] = DamageState.NONE
+        work[i] = left
 
     next_state = RecoveryState(
         damage=tuple(damage),
         elapsed_time=state.elapsed_time + completion,
-        remaining_work=next_remaining,
+        remaining_work=tuple(work) if means is None else None,
     )
     return next_state, reward(next_state, completion, community, config)

@@ -194,13 +194,15 @@ def _continuation_tables(
     """What the base-policy continuation from `state` reads, built once per
     state: the outstanding set as a bitmask (bit i is component index i)
     and per network its crew count and its outstanding components as
-    (bit, index, repair mean) in base_action's order.
-    Levels only ever drop to NONE inside an episode, so the means stay
-    valid for every state the continuation reaches."""
+    (bit, index, m) in base_action's order, m being transition's unit of
+    work: the repair mean, or 1.0 under remaining work.  Levels only ever
+    drop to NONE inside an episode, so the units stay valid for every
+    state the continuation reaches."""
     damage = state.damage
     repair_means = community.repair_means
+    unit = mdp.repair_model is RepairModel.REMAINING_WORK
     epn, wn = (
-        [(1 << i, i, repair_means[i][int(damage[i])])
+        [(1 << i, i, 1.0 if unit else repair_means[i][int(damage[i])])
          for kind in order for i in community.indices_by_class[kind]
          if damage[i]]
         for order in (base_policy.epn_priority, base_policy.wn_priority)
@@ -219,12 +221,13 @@ def _base_continuation(
     community: Community,
 ) -> float:
     """Add to `total` the discounted rewards of following the base policy
-    from the non-terminal outstanding set `mask` at time `elapsed` under
-    exponential repairs; trajectory_return's loop on the mask.  Each step
-    is base_action then transition, term for term: the same picks, the same
-    draws read once and written back, the same completion time and reward,
-    so returns and draws come out bit-identical.  Benefits are memoized by
-    mask in community._mask_benefit, shared with benefit_for_damage_cached."""
+    from the non-terminal outstanding set `mask` at time `elapsed`, with
+    `draws` holding each component's outstanding work in the units of
+    `tables` (see transition).  Each step is base_action then transition,
+    term for term: the same picks, the same work read once and written
+    back, the same finishers, completion time and reward, so returns and
+    work come out bit-identical.  Benefits are memoized by mask in
+    community._mask_benefit, shared with benefit_for_damage_cached."""
     _, networks = tables
     gamma = mdp.gamma
     rate = mdp.objective is Objective.MAX_BENEFIT_RATE
@@ -233,28 +236,27 @@ def _base_continuation(
     memo = community._mask_benefit
     disc = 1.0
     while True:
-        # each network's first outstanding components in priority order;
-        # the finisher is the earliest, the lowest index on a tie
+        # each network's first outstanding components in priority order
         work = []
-        best_t = math.inf
-        best_i = -1
+        completion = math.inf
         for order, crews in networks:
-            for bit, i, mean in order:
+            for bit, i, m in order:
                 if mask & bit:
                     u = draws[i]
-                    work.append((i, mean, u))
-                    t = mean * u
-                    if t < best_t or (t == best_t and i < best_i):
-                        best_t = t
-                        best_i = i
+                    work.append((bit, i, m, u))
+                    t = m * u
+                    if t < completion:
+                        completion = t
                     crews -= 1
                     if not crews:
                         break
-        for i, mean, u in work:
-            if i != best_i:
-                draws[i] = u - best_t / mean
-        mask ^= 1 << best_i
-        elapsed += best_t
+        for bit, i, m, u in work:
+            left = u - completion / m
+            if left <= 1e-12:
+                left = 0.0
+                mask ^= bit
+            draws[i] = left
+        elapsed += completion
         benefit = memo.get(mask)
         if benefit is None:
             benefit = memo[mask] = benefit_for_damage(community, mask)
@@ -264,7 +266,7 @@ def _base_continuation(
             if not mask:
                 return total
         else:
-            total += disc * -best_t
+            total += disc * -completion
             if benefit / population >= threshold:
                 return total
 
@@ -280,31 +282,24 @@ def trajectory_return(
 ) -> float:
     """Discounted return of forcing first_action now and then following the
     base policy until a terminal state.  The first step goes through
-    transition and is_terminal.  Under exponential repairs the rest runs in
-    _base_continuation on `tables`, which must be
-    _continuation_tables(state, ...) and are built here when not given;
-    the remaining-work model steps through transition throughout."""
+    transition and is_terminal; the rest runs in _base_continuation on
+    `tables`, which must be _continuation_tables(state, ...) and are built
+    here when not given.  Under remaining work the continuation steps a
+    copy of the next state's remaining_work, and draws may be None."""
     x, total = transition(state, first_action, community, mdp, draws)
     if is_terminal(x, community, mdp):
         return total
-    if mdp.repair_model is RepairModel.EXPONENTIAL:
-        if tables is None:
-            tables = _continuation_tables(state, base_policy, mdp, community)
-        mask = tables[0]
-        for i in first_action.indices:
-            if not x.damage[i]:
-                mask ^= 1 << i
-        return _base_continuation(
-            mask, x.elapsed_time, total, draws, tables, mdp, community
-        )
-    disc = 1.0
-    while True:
-        action = base_action(x, community, mdp, base_policy)
-        x, r = transition(x, action, community, mdp, draws)
-        disc *= mdp.gamma
-        total += disc * r
-        if is_terminal(x, community, mdp):
-            return total
+    if tables is None:
+        tables = _continuation_tables(state, base_policy, mdp, community)
+    mask = tables[0]
+    for i in first_action.indices:
+        if not x.damage[i]:
+            mask ^= 1 << i
+    if x.remaining_work is not None:
+        draws = list(x.remaining_work)
+    return _base_continuation(
+        mask, x.elapsed_time, total, draws, tables, mdp, community
+    )
 
 
 def estimate_q(

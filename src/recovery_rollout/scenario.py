@@ -275,6 +275,8 @@ def parse_scenario(raw: Any, source: str = "<scenario>") -> Scenario:
         cells.append(_read_record(GridCell, c, f"cells[{i}]"))
         if cells[-1].population < 0:
             raise ParseError(f"cells[{i}].population: must be >= 0")
+        if cells[-1].population > 2**53:  # beyond it floats lose persons
+            raise ParseError(f"cells[{i}].population: must be <= 2**53")
 
     retailers_raw = _get(doc, "retailers", source)
     if not isinstance(retailers_raw, list):

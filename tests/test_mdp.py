@@ -312,8 +312,32 @@ def test_exponential_transition_writes_back_outstanding_work():
     completion = nxt.elapsed_time - state.elapsed_time
     assert completion == 7.0 * 0.1
     assert repaired_ids(community, state, nxt) == {1}
-    # the finisher's entry is left as read; the well's keeps its remainder
-    assert draws == [0.1, 0.5, 10.0 - completion / well_mean, 0.5]
+    # the finisher's entry is written as 0.0; the well's keeps its remainder
+    assert draws == [0.0, 0.5, 10.0 - completion / well_mean, 0.5]
+
+
+def test_exponential_transition_repairs_exact_ties_together():
+    """Equal repair means and equal draws finish together: both assigned
+    components are repaired in one step, and both entries read 0.0."""
+    one_day = dict.fromkeys((D.MINOR, D.MODERATE, D.EXTENSIVE, D.COMPLETE), 1.0)
+    community = Community(
+        [comp(1, C.SUBSTATION, one_day),
+         comp(2, C.DISTRIBUTION_SEGMENT, one_day),
+         comp(3, C.WELL, one_day),
+         comp(4, C.PIPELINE, one_day)],
+        [(1, 2), (3, 4)],
+        [GridCell(id=1, population=100, centroid=(1.0, 0.0),
+                  power_feed=2, water_feed=4)],
+        [Retailer(id=1, capacity=10.0, centroid=(0.0, 1.0),
+                  power_feed=2, water_feed=4)],
+    )
+    config = MdpConfig(n_e=1, n_w=1)
+    state = initial_state(community, (D.MINOR,) * 4, config)
+    draws = [1.0] * 4
+    nxt, _ = step(state, RepairAction((0, 2)), community, config, draws)
+    assert nxt.elapsed_time == 1.0
+    assert repaired_ids(community, state, nxt) == {1, 3}
+    assert draws[0] == draws[2] == 0.0
 
 
 def test_remaining_work_initialization():

@@ -60,6 +60,7 @@ from recovery_rollout.planner import (
 )
 from recovery_rollout.scenario import load_scenario
 
+import conftest
 from conftest import (
     comp,
     damage_for,
@@ -409,12 +410,11 @@ def test_trajectory_return_matches_step_by_step_reference(objective, crews):
 
 
 @pytest.mark.parametrize("water_ids_first", [False, True])
-def test_trajectory_return_breaks_completion_ties_by_lowest_index(
-    water_ids_first,
-):
-    """Equal repair means and equal draws make every step a tie; transition
-    repairs the lowest index first, whichever network the base policy
-    lists first, and leaves the same draws behind."""
+def test_trajectory_return_finishes_exact_ties_together(water_ids_first):
+    """Equal repair means and equal draws make every step a tie; the
+    continuation repairs every finisher in one step as transition does,
+    whichever network the base policy lists first, and leaves the same
+    draws behind."""
     one_day = dict.fromkeys((D.MINOR, D.MODERATE, D.EXTENSIVE, D.COMPLETE), 1.0)
     epn_ids, wn_ids = ((3, 4), (1, 2)) if water_ids_first else ((1, 2), (3, 4))
     community = Community(
@@ -442,6 +442,51 @@ def test_trajectory_return_breaks_completion_ties_by_lowest_index(
     )
     assert draws == ref_draws
 
+
+
+@pytest.mark.parametrize("crews", [(1, 1), (2, 1)])
+@pytest.mark.parametrize("objective", list(Objective))
+@pytest.mark.parametrize("source", ["oracle_demo", "desk_community"])
+def test_remaining_work_trajectory_return_matches_step_by_step_reference(
+    source, objective, crews, monkeypatch
+):
+    """Under remaining work the continuation runs on a copy of the next
+    state's remaining work: every first action of 40 random damage
+    vectors gives exactly the return of the loop over base_action and
+    transition, and some later step finishes two components together."""
+    scenario = load_scenario(str(DATA / "oracle_demo.yaml"))
+    community = (
+        scenario.community if source == "oracle_demo" else desk_community()
+    )
+    mdp = replace(scenario.mdp, objective=objective, n_e=crews[0], n_w=crews[1])
+    real_transition = conftest.transition
+    repaired_per_step: list[int] = []
+
+    def counting_transition(state, action, *args):
+        nxt, r = real_transition(state, action, *args)
+        repaired_per_step.append(
+            sum(1 for i in action.indices if not nxt.damage[i])
+        )
+        return nxt, r
+
+    monkeypatch.setattr(conftest, "transition", counting_transition)
+    rng = np.random.default_rng(29)
+    joint_finishes = 0
+    for _ in range(40):
+        state = initial_state(
+            community, _random_damage(rng, community.n_components), mdp
+        )
+        if is_terminal(state, community, mdp):
+            continue
+        for action in enumerate_actions(state, community, mdp):
+            repaired_per_step.clear()
+            want = reference_trajectory_return(
+                state, action, BASE, mdp, community, None
+            )
+            got = trajectory_return(state, action, BASE, mdp, community, None)
+            assert got == want, (state.damage, action)
+            joint_finishes += any(n > 1 for n in repaired_per_step[1:])
+    assert joint_finishes
 
 def test_rollout_config_validation():
     with pytest.raises(ValidationError):

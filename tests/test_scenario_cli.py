@@ -537,6 +537,19 @@ BROKEN_SCENARIOS = {
         lambda doc: doc["hazard"]["components"].update(
             {1: {"pmf": [1.1, -0.1, 0, 0, 0]}}),
         "damage pmf needs 5 nonnegative entries"),
+    "gravity-weights-overflow": (
+        "sample-damage", lambda doc: doc.update(gravity_exponent=5000),
+        "cell 1: gravity weights overflow or underflow at gravity_exponent "
+        "5000; lower it"),
+    "gravity-weights-underflow": (
+        "sample-damage",
+        lambda doc: (doc.update(gravity_exponent=400),
+                     doc["retailers"][0].update(centroid=[40, 40])),
+        "cell 1: gravity weights overflow or underflow at gravity_exponent "
+        "400; lower it"),
+    "population-beyond-float-range": (
+        "sample-damage", _set_field("cells", 1, "population", 10**400),
+        "cells[1].population: must be <= 2**53"),
 }
 
 
