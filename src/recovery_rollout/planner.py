@@ -192,12 +192,14 @@ def _continuation_tables(
     community: Community,
 ) -> tuple:
     """What the base-policy continuation from `state` reads, built once per
-    state: the outstanding set as a bitmask (bit i is component index i)
-    and per network its crew count and its outstanding components as
-    (bit, index, m) in base_action's order, m being transition's unit of
-    work: the repair mean, or 1.0 under remaining work.  Levels only ever
-    drop to NONE inside an episode, so the units stay valid for every
-    state the continuation reaches."""
+    decision: the outstanding set as a bitmask (bit i is component index
+    i); per network its crew count and its outstanding components as (bit,
+    index, m) in base_action's order, m being transition's unit of work:
+    the repair mean, or 1.0 under remaining work; and an empty picks memo
+    that _base_continuation fills.  Levels only ever drop to NONE inside an
+    episode, so the units and the memoized picks stay valid for every
+    state the continuation reaches, and the memo lives as long as the
+    tables."""
     damage = state.damage
     repair_means = community.repair_means
     unit = mdp.repair_model is RepairModel.REMAINING_WORK
@@ -208,7 +210,21 @@ def _continuation_tables(
         for order in (base_policy.epn_priority, base_policy.wn_priority)
     )
     mask = sum(itertools.compress(community.index_bits, damage))
-    return mask, ((epn, mdp.n_e), (wn, mdp.n_w))
+    return mask, ((epn, mdp.n_e), (wn, mdp.n_w)), {}
+
+
+def _base_picks(mask: int, networks: tuple) -> tuple:
+    """base_action at the outstanding set `mask`: each network's first
+    outstanding (bit, index, m) in priority order, up to its crew count."""
+    picks = []
+    for order, crews in networks:
+        for pick in order:
+            if mask & pick[0]:
+                picks.append(pick)
+                crews -= 1
+                if not crews:
+                    break
+    return tuple(picks)
 
 
 def _base_continuation(
@@ -224,11 +240,14 @@ def _base_continuation(
     from the non-terminal outstanding set `mask` at time `elapsed`, with
     `draws` holding each component's outstanding work in the units of
     `tables` (see transition).  Each step is base_action then transition,
-    term for term: the same picks, the same work read once and written
-    back, the same finishers, completion time and reward, so returns and
-    work come out bit-identical.  Benefits are memoized by mask in
+    term for term: the same picks, the same work read and written back,
+    the same finishers, completion time and reward, so returns and work
+    come out bit-identical.  The picks are memoized by mask in the tables'
+    picks memo, which also maps each picks tuple to itself so that sets
+    with the same picks share one tuple; the priority lists are scanned
+    only on a miss.  Benefits are memoized by mask in
     community._mask_benefit, shared with benefit_for_damage_cached."""
-    _, networks = tables
+    _, networks, picks_memo = tables
     gamma = mdp.gamma
     rate = mdp.objective is Objective.MAX_BENEFIT_RATE
     threshold = min(mdp.alpha, community.full_coverage)  # as in is_terminal
@@ -236,22 +255,17 @@ def _base_continuation(
     memo = community._mask_benefit
     disc = 1.0
     while True:
-        # each network's first outstanding components in priority order
-        work = []
+        picks = picks_memo.get(mask)
+        if picks is None:
+            picks = _base_picks(mask, networks)
+            picks = picks_memo[mask] = picks_memo.setdefault(picks, picks)
         completion = math.inf
-        for order, crews in networks:
-            for bit, i, m in order:
-                if mask & bit:
-                    u = draws[i]
-                    work.append((bit, i, m, u))
-                    t = m * u
-                    if t < completion:
-                        completion = t
-                    crews -= 1
-                    if not crews:
-                        break
-        for bit, i, m, u in work:
-            left = u - completion / m
+        for _, i, m in picks:
+            t = m * draws[i]
+            if t < completion:
+                completion = t
+        for bit, i, m in picks:
+            left = draws[i] - completion / m
             if left <= 1e-12:
                 left = 0.0
                 mask ^= bit
@@ -283,9 +297,10 @@ def trajectory_return(
     """Discounted return of forcing first_action now and then following the
     base policy until a terminal state.  The first step goes through
     transition and is_terminal; the rest runs in _base_continuation on
-    `tables`, which must be _continuation_tables(state, ...) and are built
-    here when not given.  Under remaining work the continuation steps a
-    copy of the next state's remaining_work, and draws may be None."""
+    `tables`, which must be _continuation_tables(state, ...), may be shared
+    by every trajectory from `state`, and are built here when not given.
+    Under remaining work the continuation steps a copy of the next state's
+    remaining_work, and draws may be None."""
     x, total = transition(state, first_action, community, mdp, draws)
     if is_terminal(x, community, mdp):
         return total
@@ -310,22 +325,26 @@ def estimate_q(
     mdp: MdpConfig,
     community: Community,
     draws_for_trajectory,
+    tables: tuple | None = None,
 ) -> QEstimate:
     """Monte-Carlo Q-estimate with adaptive sample size: batches of
     n_mc_min trajectories until the standard error of the mean drops below
     se_threshold or n_mc_max is reached.  draws_for_trajectory(j) supplies
     the noise for trajectory j; sharing those across candidate actions is
     what implements common random numbers.  A deterministic repair model
-    needs a single trajectory."""
+    needs a single trajectory.  Every trajectory runs on `tables`, the
+    _continuation_tables of `state`, which rollout_decision builds once
+    for all its candidates; they are built here when not given."""
     if mdp.repair_model is RepairModel.REMAINING_WORK:
         value = trajectory_return(
-            state, action, base_policy, mdp, community, None
+            state, action, base_policy, mdp, community, None, tables
         )
         return QEstimate(
             value=value, std_error=0.0, n_trajectories=1, returns=(value,)
         )
 
-    tables = _continuation_tables(state, base_policy, mdp, community)
+    if tables is None:
+        tables = _continuation_tables(state, base_policy, mdp, community)
     returns: list[float] = []
     while True:
         batch_end = min(
@@ -410,23 +429,24 @@ def rollout_decision(
         )
         return candidates[0], record
 
-    tables: dict[int, list[float]] = {}
+    noise: dict[int, list[float]] = {}
 
     def draws_for_trajectory(j: int) -> list[float]:
-        table = tables.get(j)
+        table = noise.get(j)
         if table is None:
-            table = tables[j] = _repair_draws(
+            table = noise[j] = _repair_draws(
                 community.n_components, root_seed, TAG_TRAJECTORY,
                 decision_index, j,
             )
         return table.copy()
 
+    tables = _continuation_tables(state, base_policy, mdp, community)
     scored: list[tuple[RepairAction, QEstimate]] = []
     base_est: QEstimate | None = None
     for action in candidates:
         est = estimate_q(
             state, action, base_policy, rollout_config, mdp, community,
-            draws_for_trajectory,
+            draws_for_trajectory, tables,
         )
         scored.append((action, est))
         if action == base:

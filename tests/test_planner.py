@@ -488,6 +488,72 @@ def test_remaining_work_trajectory_return_matches_step_by_step_reference(
             joint_finishes += any(n > 1 for n in repaired_per_step[1:])
     assert joint_finishes
 
+
+@pytest.mark.parametrize("repair_model", list(RepairModel))
+@pytest.mark.parametrize("objective", list(Objective))
+@pytest.mark.parametrize("source", ["oracle_demo", "desk_community",
+                                    "mini_gilroy"])
+def test_one_set_of_tables_serves_the_whole_decision(
+    source, objective, repair_model
+):
+    """rollout_decision builds one _continuation_tables per decision, picks
+    memo included, and every candidate and trajectory index runs on it.
+    Visited here in shuffled order, each return equals the step-by-step
+    reference and leaves the same draws, exactly.  Crew counts change from
+    decision to decision on one community, and on mini_gilroy a cap of 12
+    makes enumerate_actions sample."""
+    if source == "desk_community":
+        community = desk_community()
+    else:
+        community = load_scenario(str(DATA / f"{source}.yaml")).community
+    stochastic = repair_model is RepairModel.EXPONENTIAL
+    n_tables = 8 if stochastic else 1
+    cap = 12 if source == "mini_gilroy" else 500
+    rng = np.random.default_rng(30)
+    # the same four non-terminal damage vectors for every crew count
+    mdp = MdpConfig(n_e=1, n_w=1, objective=objective,
+                    repair_model=repair_model)
+    states = []
+    while len(states) < 4:
+        state = initial_state(
+            community, _random_damage(rng, community.n_components), mdp
+        )
+        if not is_terminal(state, community, mdp):
+            states.append(state)
+    sampled = 0
+    for crews in ((1, 1), (2, 1), (2, 2)):
+        mdp = MdpConfig(n_e=crews[0], n_w=crews[1], objective=objective,
+                        repair_model=repair_model)
+        for decision, state in enumerate(states):
+            candidates = enumerate_actions(
+                state, community, mdp, cap=cap,
+                rng=np.random.default_rng(decision),
+                must_include=base_action(state, community, mdp, BASE),
+            )
+            sampled += len(candidates) < len(
+                enumerate_actions(state, community, mdp, cap=10**6)
+            )
+            tables = planner_module._continuation_tables(
+                state, BASE, mdp, community
+            )
+            jobs = [(a, j) for a in candidates for j in range(n_tables)]
+            for k in rng.permutation(len(jobs)):
+                action, j = jobs[k]
+                draws = ref_draws = None
+                if stochastic:
+                    draws = _repair_draws(community.n_components, 30,
+                                          TAG_TRAJECTORY, decision, j)
+                    ref_draws = draws.copy()
+                got = trajectory_return(state, action, BASE, mdp, community,
+                                        draws, tables)
+                want = reference_trajectory_return(
+                    state, action, BASE, mdp, community, ref_draws
+                )
+                assert got == want, (crews, state.damage, action, j)
+                assert draws == ref_draws, (crews, state.damage, action, j)
+    assert sampled if source == "mini_gilroy" else not sampled
+
+
 def test_rollout_config_validation():
     with pytest.raises(ValidationError):
         RolloutConfig(n_mc_min=0)
@@ -1037,3 +1103,32 @@ def test_planner_keeps_no_community_alive():
     ref = plan_on_fresh_community()
     gc.collect()
     assert ref() is None
+
+
+def test_rollout_decision_memo_is_scoped_to_the_decision():
+    """The picks memo lives in the decision's continuation tables: a
+    rollout decision adds no attribute to the community and no global to
+    the planner module, and grows none of their containers except the
+    community's benefit memo."""
+
+    def snapshot(namespace, skip=()):
+        return {
+            name: (id(value),
+                   len(value) if isinstance(value, (dict, list, set)) else None)
+            for name, value in namespace.items() if name not in skip
+        }
+
+    scenario = load_scenario(str(DATA / "mini_gilroy.yaml"))
+    community, mdp = scenario.community, MdpConfig(n_e=2, n_w=2)
+    state = initial_state(
+        community, episode_damage(community, scenario.hazards, 3, 0), mdp
+    )
+    config = RolloutConfig(n_mc_min=8, n_mc_max=8, action_cap=16)
+    community_before = snapshot(vars(community), skip={"_mask_benefit"})
+    module_before = snapshot(vars(planner_module))
+    _, record = rollout_decision(state, BASE, config, mdp, community,
+                                 root_seed=3)
+    assert len(record.estimates) > 1
+    assert community._mask_benefit
+    assert snapshot(vars(community), skip={"_mask_benefit"}) == community_before
+    assert snapshot(vars(planner_module)) == module_before
