@@ -216,16 +216,20 @@ def coverage_fraction(state: RecoveryState, community: Community) -> float:
     )
 
 
+def coverage_threshold(community: Community, config: MdpConfig) -> float:
+    """Coverage that ends the coverage objective: alpha, or full service's
+    where lower (gravity-weight rounding can leave it one ulp below 1)."""
+    return min(config.alpha, community.full_coverage)
+
+
 def is_terminal(
     state: RecoveryState, community: Community, config: MdpConfig
 ) -> bool:
-    """Coverage objective: coverage has reached alpha, or the coverage of
-    full service where that is lower (rounding in the gravity weights can
-    leave it one ulp below 1, and alpha = 1 is met there).  Rate
+    """Coverage objective: coverage has reached coverage_threshold.  Rate
     objective: nothing is damaged."""
     if config.objective is Objective.MIN_TIME_TO_COVERAGE:
-        coverage = coverage_fraction(state, community)
-        return coverage >= config.alpha or coverage >= community.full_coverage
+        threshold = coverage_threshold(community, config)
+        return coverage_fraction(state, community) >= threshold
     return not any(state.damage)  # NONE is the only falsy level
 
 

@@ -35,6 +35,7 @@ from .mdp import (
     RecoveryState,
     RepairAction,
     RepairModel,
+    coverage_threshold,
     enumerate_actions,
     initial_state,
     is_terminal,
@@ -84,7 +85,7 @@ _WN_CLASSES = frozenset(c for c in ComponentClass if c.network is Network.WN)
 @dataclass(frozen=True)
 class PriorityBasePolicy:
     """Fixed expert ordering over component classes; within a class, lower
-    component id first."""
+    component id first.  _continuation_tables states it, _base_picks walks it."""
 
     epn_priority: tuple[ComponentClass, ...] = (
         ComponentClass.TRANSMISSION_SEGMENT,
@@ -115,29 +116,12 @@ def base_action(
     config: MdpConfig,
     policy: PriorityBasePolicy,
 ) -> RepairAction:
-    """Assign each network's crews to its highest-priority damaged
-    components: the policy's classes in priority order, and within a class
-    lower component id first.  Each network's scan stops once its crews
-    are used, and nothing is kept between calls."""
-    damage = state.damage
-    picked: list[int] = []
-    for order, crews in (
-        (policy.epn_priority, config.n_e),
-        (policy.wn_priority, config.n_w),
-    ):
-        wanted = len(picked) + crews
-        for kind in order:
-            for i in community.indices_by_class[kind]:
-                if damage[i]:  # NONE is the only falsy level
-                    picked.append(i)
-                    if len(picked) == wanted:
-                        break
-            else:
-                continue
-            break  # this network's crews are used
-    if not picked:
+    """The base policy at `state`: _base_picks on the state's
+    _continuation_tables, as ascending indices.  Nothing is kept."""
+    mask, networks, _ = _continuation_tables(state, policy, config, community)
+    if not mask:
         raise TerminalState("no damaged components; no base action exists")
-    return RepairAction(tuple(sorted(picked)))
+    return RepairAction(tuple(sorted(i for _, i, _ in _base_picks(mask, networks))))
 
 
 @dataclass(frozen=True)
@@ -194,9 +178,11 @@ def _continuation_tables(
     """What the base-policy continuation from `state` reads, built once per
     decision: the outstanding set as a bitmask (bit i is component index
     i); per network its crew count and its outstanding components as (bit,
-    index, m) in base_action's order, m being transition's unit of work:
-    the repair mean, or 1.0 under remaining work; and an empty picks memo
-    that _base_continuation fills.  Levels only ever drop to NONE inside an
+    index, m), m being transition's unit of work: the repair mean, or 1.0
+    under remaining work; and an empty picks memo that _base_continuation
+    fills.  The lists are the one statement of the base policy's order:
+    the policy's classes in priority order, then ascending index (that is,
+    ascending id) within a class.  Levels only ever drop to NONE inside an
     episode, so the units and the memoized picks stay valid for every
     state the continuation reaches, and the memo lives as long as the
     tables."""
@@ -214,8 +200,9 @@ def _continuation_tables(
 
 
 def _base_picks(mask: int, networks: tuple) -> tuple:
-    """base_action at the outstanding set `mask`: each network's first
-    outstanding (bit, index, m) in priority order, up to its crew count."""
+    """The base policy at the outstanding set `mask`, for base_action and
+    _base_continuation alike: each network's first outstanding (bit, index,
+    m) in its list's order, up to its crew count."""
     picks = []
     for order, crews in networks:
         for pick in order:
@@ -239,18 +226,19 @@ def _base_continuation(
     """Add to `total` the discounted rewards of following the base policy
     from the non-terminal outstanding set `mask` at time `elapsed`, with
     `draws` holding each component's outstanding work in the units of
-    `tables` (see transition).  Each step is base_action then transition,
-    term for term: the same picks, the same work read and written back,
-    the same finishers, completion time and reward, so returns and work
-    come out bit-identical.  The picks are memoized by mask in the tables'
-    picks memo, which also maps each picks tuple to itself so that sets
-    with the same picks share one tuple; the priority lists are scanned
-    only on a miss.  Benefits are memoized by mask in
-    community._mask_benefit, shared with benefit_for_damage_cached."""
+    `tables` (see transition).  Each step is base_action's _base_picks, then
+    transition, term for term, then is_terminal's coverage_threshold: the
+    same work read and written back, the same finishers, completion time
+    and reward, so returns and work come out bit-identical.  The picks are
+    memoized by mask in the tables' picks memo, which also maps each picks
+    tuple to itself so that sets with the same picks share one tuple; the
+    priority lists are scanned only on a miss.  Benefits are memoized by
+    mask in community._mask_benefit, which outlives the decision and is
+    shared with benefit_for_damage_cached, so the two memos stay apart."""
     _, networks, picks_memo = tables
     gamma = mdp.gamma
     rate = mdp.objective is Objective.MAX_BENEFIT_RATE
-    threshold = min(mdp.alpha, community.full_coverage)  # as in is_terminal
+    threshold = coverage_threshold(community, mdp)
     population = community.total_population
     memo = community._mask_benefit
     disc = 1.0

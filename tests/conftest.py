@@ -22,6 +22,7 @@ from recovery_rollout.community import (
     DamageState,
     GridCell,
     Retailer,
+    benefit_for_damage,
     benefit_for_damage_cached,
     functional_mask,
 )
@@ -33,12 +34,17 @@ from recovery_rollout.mdp import (
     RepairAction,
     RepairModel,
     check_admissible,
+    coverage_threshold,
     enumerate_actions,
     initial_state,
     is_terminal,
     transition,
 )
-from recovery_rollout.planner import PriorityBasePolicy, base_action
+from recovery_rollout.planner import (
+    PriorityBasePolicy,
+    _base_picks,
+    _continuation_tables,
+)
 
 PIPE_DAYS = {
     DamageState.MINOR: 0.5,
@@ -295,16 +301,61 @@ def reference_trajectory_return(
     draws: list[float] | None,
 ) -> float:
     """Rollout trajectory by the public step functions: force first_action,
-    then base_action and transition until is_terminal, discounting each
-    later reward by one more factor of gamma."""
+    then reference_base_action and transition until is_terminal,
+    discounting each later reward by one more factor of gamma."""
     x, total = transition(state, first_action, community, mdp, draws)
     disc = 1.0
     while not is_terminal(x, community, mdp):
-        action = base_action(x, community, mdp, base_policy)
+        action = reference_base_action(x.damage, community, mdp, base_policy)
         x, r = transition(x, action, community, mdp, draws)
         disc *= mdp.gamma
         total += disc * r
     return total
+
+
+def exact_base_q(
+    state: RecoveryState,
+    action: RepairAction,
+    base_policy: PriorityBasePolicy,
+    mdp: MdpConfig,
+    community: Community,
+) -> float:
+    """Exact expected return of forcing action at state and then following
+    the base policy, for the time objective under exponential repairs.
+    The outstanding set is then a continuous-time Markov chain: with rates
+    lam_i = 1/m_i over the assigned components and Lam their sum, a step
+    lasts 1/Lam in expectation and repairs i with probability lam_i/Lam, so
+        V(m) = -1/Lam + gamma * sum_i (lam_i/Lam) * V(m without i),
+    with V = 0 once benefit/population reaches coverage_threshold.  Q is
+    the same formula with action's indices as the picks.  The picks come
+    from _continuation_tables and _base_picks, as in the Monte-Carlo
+    continuation and base_action."""
+    if (mdp.objective is not Objective.MIN_TIME_TO_COVERAGE
+            or mdp.repair_model is not RepairModel.EXPONENTIAL):
+        raise ValidationError("the chain covers the time objective under "
+                              "exponential repairs")
+    mask, networks, _ = _continuation_tables(state, base_policy, mdp, community)
+    unit = {i: m for order, _ in networks for _, i, m in order}
+    threshold = coverage_threshold(community, mdp)
+    values: dict[int, float] = {}
+
+    def chain(m: int, picks) -> float:
+        rates = [(1 << i, 1.0 / unit[i]) for i in picks]
+        lam = sum(rate for _, rate in rates)
+        return -1.0 / lam + mdp.gamma * sum(
+            rate / lam * value(m ^ bit) for bit, rate in rates
+        )
+
+    def value(m: int) -> float:
+        if m not in values:
+            benefit = benefit_for_damage(community, m)
+            values[m] = (
+                0.0 if benefit / community.total_population >= threshold
+                else chain(m, [i for _, i, _ in _base_picks(m, networks)])
+            )
+        return values[m]
+
+    return chain(mask, action.indices)
 
 
 REFERENCE_MAX_DAMAGED = 8

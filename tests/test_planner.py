@@ -65,6 +65,7 @@ from conftest import (
     comp,
     damage_for,
     desk_community,
+    exact_base_q,
     reference_base_action,
     reference_exhaustive_oracle,
     reference_trajectory_return,
@@ -364,6 +365,31 @@ def test_estimate_q_replays_shared_draws():
     second = estimate_q(state, action, BASE, config, mdp, community, draws)
     assert first.returns == second.returns
     assert len(set(first.returns)) > 1
+
+
+def test_estimates_lie_near_the_exact_base_chain():
+    """Every candidate scored in mini_gilroy's first decisions of episodes
+    0-5 has a Monte-Carlo Q within 3 standard errors of the exact chain's.
+    Under common random numbers the candidates of one decision share most
+    of their error, so the z values of a decision are not independent."""
+    scenario = load_scenario(str(DATA / "mini_gilroy.yaml"))
+    community, mdp = scenario.community, scenario.mdp
+    scored = 0
+    for ep in range(6):
+        state = initial_state(
+            community, episode_damage(community, scenario.hazards, 7, ep), mdp
+        )
+        _, record = rollout_decision(
+            state, scenario.base_policy, scenario.rollout, mdp, community,
+            root_seed=7, decision_index=ep * 10_000,
+        )
+        for action, est in record.estimates:
+            exact = exact_base_q(
+                state, action, scenario.base_policy, mdp, community
+            )
+            assert abs(est.value - exact) <= 3.0 * est.std_error, (ep, action)
+            scored += 1
+    assert scored >= 200
 
 
 @pytest.mark.parametrize("crews", [(1, 1), (2, 2)])
