@@ -24,5 +24,7 @@ class InadmissibleAction(RecoveryError):
 
 
 class InstanceTooLarge(RecoveryError):
-    """Instance exceeds one of the schedule oracle's two guards: the number
-    of damaged components, or the number of states in its memo."""
+    """Instance exceeds one of the schedule oracle's guards: the number of
+    states in its memo, the number of crew assignments at the start, or,
+    when some network has more than one crew, the number of damaged
+    components."""

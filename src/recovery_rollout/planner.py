@@ -1,6 +1,6 @@
 """Base policy, rollout decision engine, episode runner and driver, and an
-exact schedule oracle (dynamic programming over remaining-work states) for
-desk-scale validation.
+exact schedule oracle (dynamic programming over remaining-work states) that
+rollout is checked against.
 
 The rollout policy scores each candidate first action by simulating the base
 policy afterwards and picking the best estimated Q-value.  All randomness is
@@ -35,6 +35,7 @@ from .mdp import (
     RecoveryState,
     RepairAction,
     RepairModel,
+    count_admissible,
     coverage_threshold,
     enumerate_actions,
     initial_state,
@@ -447,12 +448,12 @@ def rollout_decision(
     top_action, top_est = max(scored, key=lambda pair: pair[1].value)
     top = top_est.value
     band = _TIE_BAND_REL * max(1.0, abs(top))
-    noise = (
+    se = (
         _paired_se(top_est, base_est, rollout_config.mode)
         if base_est is not None
         else 0.0
     )
-    if base_est is not None and top - base_est.value <= band + _DEVIATION_Z * noise:
+    if base_est is not None and top - base_est.value <= band + _DEVIATION_Z * se:
         best_action = base
     else:
         tied = [(action, est) for action, est in scored if est.value >= top - band]
@@ -644,9 +645,15 @@ def run_episodes(
     ]
 
 
+# applies only when some network has more than one crew
 _ORACLE_MAX_DAMAGED = 8
-# memo entries of one DP pass, about 0.5 kB each on a 20-component
-# community; eight damaged components on mini_gilroy reach under 7,000
+# crew assignments the DP scores per state, checked at the start, where
+# there are the most
+_ORACLE_MAX_ACTIONS = 500
+# memo entries of one DP pass, about 0.6 kB each on a 20-component
+# community: mini_gilroy episode 22 (seed 7, 18 damaged, one crew per
+# network) reaches the bound after about 5 s at 94 MB peak process RSS;
+# its other episodes 0-29 take 200-78,928 states
 _ORACLE_MAX_STATES = 100_000
 
 
@@ -659,6 +666,8 @@ def _best_schedule(
     objective and w = B(s) - lam under the rate objective.  Exact ties go
     to the lexicographically largest indices."""
     minimize = mdp.objective is Objective.MIN_TIME_TO_COVERAGE
+    non_preemptive = mdp.n_e == mdp.n_w == 1
+    full_work = start.remaining_work
     memo: dict[tuple[float, ...], tuple[float, RepairAction | None]] = {}
 
     def solve(state: RecoveryState) -> float:
@@ -678,10 +687,19 @@ def _best_schedule(
             -1.0 if minimize
             else benefit_for_damage_cached(community, state.damage) - lam
         )
+        # with one crew per network, every action keeps the started
+        # components (see exhaustive_oracle)
+        started = (
+            {i for i, (w, w0) in enumerate(zip(key, full_work)) if 0.0 < w < w0}
+            if non_preemptive else set()
+        )
         best = -math.inf
         best_action: RepairAction | None = None
-        # at most 8 damaged admit at most C(8, 4) = 70 actions, under the cap
-        for action in enumerate_actions(state, community, mdp):
+        for action in enumerate_actions(
+            state, community, mdp, cap=_ORACLE_MAX_ACTIONS
+        ):
+            if not started.issubset(action.indices):
+                continue
             nxt, _ = transition(state, action, community, mdp, None)
             value = weight * (nxt.elapsed_time - state.elapsed_time) + solve(nxt)
             if value > best or (
@@ -726,9 +744,22 @@ def exhaustive_oracle(
 ) -> tuple[float, RepairAction]:
     """Exact optimum over every preemptive schedule, by dynamic programming
     over remaining-work states.  Deterministic repair model only; guarded
-    to desk scale.  Returns the natural objective value (days for the time
-    objective, persons per day for the benefit objective) and an optimal
-    first action.
+    by the number of memo states and of crew assignments, and with more
+    than one crew in a network by the number of damaged components.
+    Returns the natural objective value (days for the time objective,
+    persons per day for the benefit objective) and an optimal first
+    action.
+
+    With one crew per network the DP searches only schedules that finish
+    what they start, and loses nothing: repairing each network's
+    components without preemption, in the order some schedule completes
+    them, completes each no later, since the network's one crew must
+    first have done its work and that of every component completed
+    before it.  Benefit only grows with repairs, so coverage reaches alpha
+    no later and the area under the curve is no smaller, while the rate
+    objective's total time, the larger network's total work, stays put.
+    With two crews in a network preemption can win, so there the DP
+    searches every schedule.
 
     A component is damaged exactly when its remaining work is positive,
     and its damage level is already folded into that work, so the
@@ -743,7 +774,7 @@ def exhaustive_oracle(
     if mdp.repair_model is not RepairModel.REMAINING_WORK:
         raise ValidationError("oracle needs the deterministic repair model")
     n_damaged = sum(1 for d in damage if d)
-    if n_damaged > _ORACLE_MAX_DAMAGED:
+    if n_damaged > _ORACLE_MAX_DAMAGED and not mdp.n_e == mdp.n_w == 1:
         raise InstanceTooLarge(
             f"{n_damaged} damaged components exceed the oracle bound "
             f"{_ORACLE_MAX_DAMAGED}"
@@ -751,6 +782,12 @@ def exhaustive_oracle(
     start = initial_state(community, damage, mdp)
     if is_terminal(start, community, mdp):
         raise TerminalState("initial state is already terminal")
+    n_actions = count_admissible(start, community, mdp)
+    if n_actions > _ORACLE_MAX_ACTIONS:
+        raise InstanceTooLarge(
+            f"{n_actions} crew assignments exceed the oracle bound "
+            f"{_ORACLE_MAX_ACTIONS}"
+        )
     best = _replay(
         start, _best_schedule(start, community, mdp, 0.0), community, mdp
     )

@@ -966,7 +966,11 @@ def test_oracle_rejects_stochastic_model():
         )
 
 
-def test_oracle_guards_instance_size():
+def test_oracle_guards_instance_size(monkeypatch):
+    """A damaged substation and eight damaged segments behind it: with two
+    electric crews the damaged-count guard refuses them; with one crew per
+    network it does not apply, and the instance solves unless its nine
+    crew assignments exceed the action bound."""
     components = [comp(1, C.SUBSTATION)]
     edges = []
     for cid in range(2, 10):
@@ -979,11 +983,19 @@ def test_oracle_guards_instance_size():
     retailers = [Retailer(id=1, capacity=10.0, centroid=(0.0, 1.0),
                           power_feed=2, water_feed=11)]
     community = Community(components, edges, cells, retailers)
-    mdp = MdpConfig(n_e=1, n_w=1, alpha=1.0,
+    mdp = MdpConfig(n_e=2, n_w=1, alpha=1.0,
                     repair_model=RepairModel.REMAINING_WORK)
     damage = damage_for(community, {cid: D.MINOR for cid in range(1, 10)})
-    with pytest.raises(InstanceTooLarge):
+    with pytest.raises(InstanceTooLarge, match="9 damaged components"):
         exhaustive_oracle(damage, community, mdp)
+    # the substation (1 day) and the cell's feed, segment 2 (0.5 days),
+    # in either order; the tie goes to the larger index
+    value, first = exhaustive_oracle(damage, community, replace(mdp, n_e=1))
+    assert value == pytest.approx(1.5)
+    assert first.assigned_indices() == (1,)
+    monkeypatch.setattr(planner_module, "_ORACLE_MAX_ACTIONS", 8)
+    with pytest.raises(InstanceTooLarge, match="9 crew assignments"):
+        exhaustive_oracle(damage, community, replace(mdp, n_e=1))
 
 
 def test_oracle_guards_state_count(monkeypatch):
@@ -999,28 +1011,46 @@ def test_oracle_guards_state_count(monkeypatch):
 @pytest.mark.parametrize("crews", [(1, 1), (2, 1)])
 @pytest.mark.parametrize("objective", list(Objective))
 @pytest.mark.parametrize("source", ["oracle_demo", "desk_community"])
-def test_oracle_matches_reference_search(source, objective, crews):
+def test_oracle_matches_reference_search(source, objective, crews, monkeypatch):
     """26 random instances per case, 1-7 damaged: the DP's value is the
-    depth-first search's optimum, the search's best schedule that starts
-    with the DP's first action is optimal too, and under the rate
-    objective no rollout episode reads above the DP's value."""
+    depth-first search's optimum over every preemptive schedule, the
+    search's best schedule that starts with the DP's first action is
+    optimal too, and under the rate objective no rollout episode reads
+    above the DP's value.  With one crew per network the DP only takes
+    actions that keep every started component (0 < remaining work < its
+    work at the start)."""
     scenario = load_scenario(str(DATA / "oracle_demo.yaml"))
     community = (
         scenario.community if source == "oracle_demo" else desk_community()
     )
     mdp = replace(scenario.mdp, objective=objective, n_e=crews[0], n_w=crews[1])
+    steps = []
+    real_transition = planner_module.transition
+
+    def recording_transition(state, action, *args):
+        steps.append((state.remaining_work, action.indices))
+        return real_transition(state, action, *args)
+
+    monkeypatch.setattr(planner_module, "transition", recording_transition)
     ids = [c.id for c in community.components]
     rng = np.random.default_rng(25)
+    dropped = 0
     for i in range(26):
         while True:
             chosen = rng.choice(ids, size=1 + i % 7, replace=False)
             damage = damage_for(
                 community, {int(c): D(int(rng.integers(1, 5))) for c in chosen}
             )
-            if not is_terminal(initial_state(community, damage, mdp),
-                               community, mdp):
+            start = initial_state(community, damage, mdp)
+            if not is_terminal(start, community, mdp):
                 break
+        steps.clear()
         value, first = exhaustive_oracle(damage, community, mdp)
+        dropped += sum(
+            any(0.0 < w < w0 and j not in indices
+                for j, (w, w0) in enumerate(zip(work, start.remaining_work)))
+            for work, indices in steps
+        )
         optimum, _ = reference_exhaustive_oracle(damage, community, mdp)
         assert value == pytest.approx(optimum, rel=1e-12, abs=0.0), i
         via_first, _ = reference_exhaustive_oracle(
@@ -1033,6 +1063,51 @@ def test_oracle_matches_reference_search(source, objective, crews):
                 scenario.base_policy, root_seed=i,
             )
             assert result.metric(objective) <= value, i
+    # the two-crew DP also tries actions that drop started components
+    assert (dropped == 0) == (crews == (1, 1))
+
+
+def test_two_crew_oracle_preempts():
+    """oracle_demo, two electric crews: coverage 0.8 needs every damaged
+    component.  Without preemption the electric jobs (1, 2, 1 and 1 days)
+    take 3 days; with it 2.5, as the pipeline's completion at 0.5 days
+    lets crews rotate.  So the one-crew filter must not apply here."""
+    scenario = load_scenario(str(DATA / "oracle_demo.yaml"))
+    community = scenario.community
+    mdp = replace(scenario.mdp, n_e=2)
+    damage = damage_for(community, {1: D.MINOR, 2: D.COMPLETE, 3: D.MODERATE,
+                                    4: D.COMPLETE, 7: D.MINOR})
+    value, _ = exhaustive_oracle(damage, community, mdp)
+    optimum, _ = reference_exhaustive_oracle(damage, community, mdp)
+    assert optimum == pytest.approx(2.5)
+    assert value == pytest.approx(optimum, rel=1e-12, abs=0.0)
+
+
+def test_oracle_rate_never_beaten_on_random_damage():
+    """Under max_benefit_rate the oracle sums its area over the same
+    segments as the restoration curve, so rollout never reads above the
+    optimum, not even in the last bits: 50 random damage vectors of 1-6
+    damaged components, at uniform levels, on oracle_demo."""
+    scenario = load_scenario(str(DATA / "oracle_demo.yaml"))
+    community = scenario.community
+    mdp = replace(scenario.mdp, objective=Objective.MAX_BENEFIT_RATE)
+    ids = [c.id for c in community.components]
+    rng = np.random.default_rng(0)
+    for i in range(50):
+        while True:
+            chosen = set(rng.choice(ids, size=int(rng.integers(1, 7)), replace=False))
+            damage = tuple(
+                D(int(rng.integers(1, 5))) if c.id in chosen else D.NONE
+                for c in community.components
+            )
+            if not is_terminal(initial_state(community, damage, mdp), community, mdp):
+                break
+        optimum, _ = exhaustive_oracle(damage, community, mdp)
+        result = run_episode(
+            PolicyKind.ROLLOUT, damage, community, mdp, scenario.rollout,
+            scenario.base_policy, root_seed=i,
+        )
+        assert result.metric(mdp.objective) <= optimum, i
 
 
 def test_oracle_rate_runs_dinkelbach_past_the_largest_area():

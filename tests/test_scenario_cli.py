@@ -13,6 +13,7 @@ import pytest
 import yaml
 
 import recovery_rollout
+from recovery_rollout import planner as planner_module
 from recovery_rollout.cli import _config_lines, _fmt, main
 from recovery_rollout.community import ComponentClass
 from recovery_rollout.errors import ParseError, ValidationError
@@ -411,18 +412,19 @@ def test_curve_file_format(tmp_path):
     assert times[0] == 0.0
 
 
-def test_zero_episodes_is_validation_error(capsys, tmp_path):
-    code = main(["plan", "--scenario", DEMO, "--episodes", "0",
-                 "--out", str(tmp_path)])
-    assert code == 1
-    assert "error:" in capsys.readouterr().err
+@pytest.mark.parametrize("command", ["plan", "oracle-check"])
+def test_zero_episodes_is_validation_error(command, capsys):
+    assert main([command, "--scenario", DEMO, "--episodes", "0"]) == 1
+    assert capsys.readouterr() == ("", "error: episodes must be >= 1\n")
 
 
-def test_missing_scenario_file_is_io_error(capsys, tmp_path):
-    code = main(["plan", "--scenario", str(tmp_path / "nope.yaml"),
-                 "--out", str(tmp_path)])
-    assert code == 2
-    assert "i/o error:" in capsys.readouterr().err
+@pytest.mark.parametrize("command", ["plan", "oracle-check"])
+def test_missing_scenario_file_is_io_error(command, capsys, tmp_path):
+    missing = tmp_path / "nope.yaml"
+    assert main([command, "--scenario", str(missing)]) == 2
+    assert capsys.readouterr().err == (
+        f"i/o error: [Errno 2] No such file or directory: '{missing}'\n"
+    )
 
 
 def test_unwritable_out_dir_is_io_error(tmp_path, capsys):
@@ -434,12 +436,14 @@ def test_unwritable_out_dir_is_io_error(tmp_path, capsys):
     assert "i/o error:" in capsys.readouterr().err
 
 
-def test_malformed_scenario_is_validation_error(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["plan", "oracle-check"])
+def test_malformed_scenario_is_validation_error(command, tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("components: []\n", encoding="utf-8")
-    code = main(["plan", "--scenario", str(bad), "--out", str(tmp_path)])
-    assert code == 1
-    assert "error:" in capsys.readouterr().err
+    assert main([command, "--scenario", str(bad)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}.components: expected a non-empty list\n"
+    )
 
 
 def _curves(*pairs: tuple[float, float]) -> dict:
@@ -565,8 +569,9 @@ def test_broken_scenario_exits_1_naming_its_fault(row, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_negative_seed_exits_1(capsys):
-    assert main(["sample-damage", "--scenario", DEMO, "--seed", "-1"]) == 1
+@pytest.mark.parametrize("command", ["sample-damage", "oracle-check"])
+def test_negative_seed_exits_1(command, capsys):
+    assert main([command, "--scenario", DEMO, "--seed", "-1"]) == 1
     assert capsys.readouterr().err == (
         "error: seed must fit in an unsigned 64-bit integer\n"
     )
@@ -578,7 +583,16 @@ def test_oracle_check_on_undamaged_scenario_exits_1(tmp_path, capsys):
     undamaged = tmp_path / "undamaged.yaml"
     undamaged.write_text(yaml.safe_dump(doc), encoding="utf-8")
     assert main(["oracle-check", "--scenario", str(undamaged)]) == 1
-    assert capsys.readouterr().err == "error: initial state is already terminal\n"
+    assert capsys.readouterr() == ("", "error: initial state is already terminal\n")
+    # with several episodes, each refusal gets a line first
+    argv = ["oracle-check", "--scenario", str(undamaged), "--episodes", "2"]
+    assert main(argv) == 1
+    assert capsys.readouterr() == (
+        "metric time_to_coverage_days\n"
+        "episode 0 refused: initial state is already terminal\n"
+        "episode 1 refused: initial state is already terminal\n",
+        "error: initial state is already terminal\n",
+    )
 
 
 def check_paired_lines(summary: str, minimize: bool) -> list[str]:
@@ -653,22 +667,76 @@ def test_compare_single_episode_has_no_paired_t(tmp_path, capsys):
     assert t_line == "paired_t = nan"
 
 
-def test_oracle_check_passes_on_demo(capsys):
-    code = main(["oracle-check", "--scenario", DEMO])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "oracle_optimum" in out
-    assert "gap_pct" in out
-    assert "PASS" in out
-
-
-def test_oracle_check_refuses_too_many_damaged(capsys):
-    code = main(["oracle-check", "--scenario", MINI])
+def test_oracle_check_refuses_too_many_damaged(tmp_path, capsys):
+    # the damaged-count guard applies only with more than one crew in a
+    # network; episode 0 of mini_gilroy has 11 damaged
+    two_crews = tmp_path / "mini_gilroy_two_crews.yaml"
+    two_crews.write_text(Path(MINI).read_text().replace("n_e: 1", "n_e: 2"))
+    code = main(["oracle-check", "--scenario", str(two_crews)])
     assert code == 1
     captured = capsys.readouterr()
+    assert captured.out == ""
     assert captured.err == (
         "error: 11 damaged components exceed the oracle bound 8\n"
     )
+
+
+# (arguments after the command, the oracle's state bound, stdout)
+ORACLE_CHECK_OUTPUTS = {
+    "oracle_demo": ([DEMO], 100_000, """\
+oracle_optimum time_to_coverage_days 8.500000
+rollout time_to_coverage_days 8.500000
+gap_pct 0.000000
+PASS (tolerance 5.000000%)
+"""),
+    "mini_gilroy": ([MINI], 100_000, """\
+oracle_optimum time_to_coverage_days 13.200000
+rollout time_to_coverage_days 13.200000
+gap_pct 0.000000
+PASS (tolerance 5.000000%)
+"""),
+    "oracle_demo-3-episodes": ([DEMO, "--episodes", "3"], 100_000, """\
+metric time_to_coverage_days
+episode 0 oracle_optimum 8.500000 rollout 8.500000 gap_pct 0.000000
+episode 1 oracle_optimum 8.500000 rollout 8.500000 gap_pct 0.000000
+episode 2 oracle_optimum 8.500000 rollout 8.500000 gap_pct 0.000000
+gap_pct mean 0.000000 median 0.000000 max 0.000000
+exact_episodes 3
+refused_episodes 0
+PASS (tolerance 5.000000%)
+"""),
+    # the verdict reads the worst gap; a FAIL verdict still exits 0
+    "mini_gilroy-3-episodes": ([MINI, "--episodes", "3"], 100_000, """\
+metric time_to_coverage_days
+episode 0 oracle_optimum 13.200000 rollout 13.200000 gap_pct 0.000000
+episode 1 oracle_optimum 11.000000 rollout 11.700000 gap_pct 6.363636
+episode 2 oracle_optimum 12.000000 rollout 12.000000 gap_pct 0.000000
+gap_pct mean 2.121212 median 0.000000 max 6.363636
+exact_episodes 2
+refused_episodes 0
+FAIL (tolerance 5.000000%)
+"""),
+    # episode 0 takes 1,240 DP states, episodes 1 and 2 over 8,000; the
+    # refused ones are left out of the summary
+    "mini_gilroy-refusals": ([MINI, "--episodes", "3"], 5000, """\
+metric time_to_coverage_days
+episode 0 oracle_optimum 13.200000 rollout 13.200000 gap_pct 0.000000
+episode 1 refused: more than 5000 remaining-work states; the instance exceeds the oracle bound
+episode 2 refused: more than 5000 remaining-work states; the instance exceeds the oracle bound
+gap_pct mean 0.000000 median 0.000000 max 0.000000
+exact_episodes 1
+refused_episodes 2
+PASS (tolerance 5.000000%)
+"""),
+}
+
+
+@pytest.mark.parametrize("case", list(ORACLE_CHECK_OUTPUTS))
+def test_oracle_check_output(case, monkeypatch, capsys):
+    args, max_states, expected = ORACLE_CHECK_OUTPUTS[case]
+    monkeypatch.setattr(planner_module, "_ORACLE_MAX_STATES", max_states)
+    assert main(["oracle-check", "--scenario", *args]) == 0
+    assert capsys.readouterr() == (expected, "")
 
 
 def test_config_lines_write_every_config_field():
