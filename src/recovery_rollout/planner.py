@@ -156,7 +156,7 @@ class QEstimate:
     value: float
     std_error: float
     n_trajectories: int
-    returns: tuple[float, ...] = ()
+    returns: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -277,24 +277,21 @@ def _base_continuation(
 def trajectory_return(
     state: RecoveryState,
     first_action: RepairAction,
-    base_policy: PriorityBasePolicy,
     mdp: MdpConfig,
     community: Community,
     draws: list[float] | None,
-    tables: tuple | None = None,
+    tables: tuple,
 ) -> float:
     """Discounted return of forcing first_action now and then following the
-    base policy until a terminal state.  The first step goes through
-    transition and is_terminal; the rest runs in _base_continuation on
-    `tables`, which must be _continuation_tables(state, ...), may be shared
-    by every trajectory from `state`, and are built here when not given.
+    base policy until a terminal state.  `tables`, the
+    _continuation_tables of `state`, is the base policy; every trajectory
+    from `state` may share them.  The first step goes through transition
+    and is_terminal; the rest runs in _base_continuation on `tables`.
     Under remaining work the continuation steps a copy of the next state's
     remaining_work, and draws may be None."""
     x, total = transition(state, first_action, community, mdp, draws)
     if is_terminal(x, community, mdp):
         return total
-    if tables is None:
-        tables = _continuation_tables(state, base_policy, mdp, community)
     mask = tables[0]
     for i in first_action.indices:
         if not x.damage[i]:
@@ -309,31 +306,26 @@ def trajectory_return(
 def estimate_q(
     state: RecoveryState,
     action: RepairAction,
-    base_policy: PriorityBasePolicy,
     rollout_config: RolloutConfig,
     mdp: MdpConfig,
     community: Community,
     draws_for_trajectory,
-    tables: tuple | None = None,
+    tables: tuple,
 ) -> QEstimate:
     """Monte-Carlo Q-estimate with adaptive sample size: batches of
     n_mc_min trajectories until the standard error of the mean drops below
     se_threshold or n_mc_max is reached.  draws_for_trajectory(j) supplies
     the noise for trajectory j; sharing those across candidate actions is
     what implements common random numbers.  A deterministic repair model
-    needs a single trajectory.  Every trajectory runs on `tables`, the
-    _continuation_tables of `state`, which rollout_decision builds once
-    for all its candidates; they are built here when not given."""
+    needs a single trajectory.  `tables`, the _continuation_tables of
+    `state`, is the base policy every trajectory follows after `action`;
+    rollout_decision builds them once for all its candidates."""
     if mdp.repair_model is RepairModel.REMAINING_WORK:
-        value = trajectory_return(
-            state, action, base_policy, mdp, community, None, tables
-        )
+        value = trajectory_return(state, action, mdp, community, None, tables)
         return QEstimate(
             value=value, std_error=0.0, n_trajectories=1, returns=(value,)
         )
 
-    if tables is None:
-        tables = _continuation_tables(state, base_policy, mdp, community)
     returns: list[float] = []
     while True:
         batch_end = min(
@@ -342,8 +334,8 @@ def estimate_q(
         for j in range(len(returns), batch_end):
             returns.append(
                 trajectory_return(
-                    state, action, base_policy, mdp, community,
-                    draws_for_trajectory(j), tables,
+                    state, action, mdp, community, draws_for_trajectory(j),
+                    tables,
                 )
             )
         n = len(returns)
@@ -430,30 +422,25 @@ def rollout_decision(
         return table.copy()
 
     tables = _continuation_tables(state, base_policy, mdp, community)
-    scored: list[tuple[RepairAction, QEstimate]] = []
-    base_est: QEstimate | None = None
-    for action in candidates:
-        est = estimate_q(
-            state, action, base_policy, rollout_config, mdp, community,
+    scored = [
+        (action, estimate_q(
+            state, action, rollout_config, mdp, community,
             draws_for_trajectory, tables,
-        )
-        scored.append((action, est))
-        if action == base:
-            base_est = est
+        ))
+        for action in candidates
+    ]
+    # enumerate_actions always returns the base action among the candidates
+    base_est = dict(scored)[base]
     # Deviating from the base action requires evidence above the estimator
     # noise, else Monte-Carlo flutter would erode the not-worse guarantee.
     # Noise is the paired standard error against the base estimate (the
     # candidates shared their trajectory tables), plus a resolution band;
     # within the band, ties go to the lexicographically largest indices.
-    top_action, top_est = max(scored, key=lambda pair: pair[1].value)
+    _, top_est = max(scored, key=lambda pair: pair[1].value)
     top = top_est.value
     band = _TIE_BAND_REL * max(1.0, abs(top))
-    se = (
-        _paired_se(top_est, base_est, rollout_config.mode)
-        if base_est is not None
-        else 0.0
-    )
-    if base_est is not None and top - base_est.value <= band + _DEVIATION_Z * se:
+    se = _paired_se(top_est, base_est, rollout_config.mode)
+    if top - base_est.value <= band + _DEVIATION_Z * se:
         best_action = base
     else:
         tied = [(action, est) for action, est in scored if est.value >= top - band]
@@ -770,7 +757,8 @@ def exhaustive_oracle(
     ratio of the schedule found, and repeats until the ratio stops rising.
     The value returned is a forward replay of the chosen schedule, so it
     comes from the same arithmetic as the restoration curve of that
-    schedule."""
+    schedule.  The benefit entries it adds to community._mask_benefit,
+    one per outstanding set visited, are dropped when it returns or raises."""
     if mdp.repair_model is not RepairModel.REMAINING_WORK:
         raise ValidationError("oracle needs the deterministic repair model")
     n_damaged = sum(1 for d in damage if d)
@@ -779,27 +767,35 @@ def exhaustive_oracle(
             f"{n_damaged} damaged components exceed the oracle bound "
             f"{_ORACLE_MAX_DAMAGED}"
         )
-    start = initial_state(community, damage, mdp)
-    if is_terminal(start, community, mdp):
-        raise TerminalState("initial state is already terminal")
-    n_actions = count_admissible(start, community, mdp)
-    if n_actions > _ORACLE_MAX_ACTIONS:
-        raise InstanceTooLarge(
-            f"{n_actions} crew assignments exceed the oracle bound "
-            f"{_ORACLE_MAX_ACTIONS}"
+    # popitem drops the newest entry, so the memo ends as it began
+    memo = community._mask_benefit
+    entries = len(memo)
+    try:
+        start = initial_state(community, damage, mdp)
+        if is_terminal(start, community, mdp):
+            raise TerminalState("initial state is already terminal")
+        n_actions = count_admissible(start, community, mdp)
+        if n_actions > _ORACLE_MAX_ACTIONS:
+            raise InstanceTooLarge(
+                f"{n_actions} crew assignments exceed the oracle bound "
+                f"{_ORACLE_MAX_ACTIONS}"
+            )
+        best = _replay(
+            start, _best_schedule(start, community, mdp, 0.0), community, mdp
         )
-    best = _replay(
-        start, _best_schedule(start, community, mdp, 0.0), community, mdp
-    )
-    if mdp.objective is Objective.MIN_TIME_TO_COVERAGE:
-        return best
-    while True:
-        pick = _replay(
-            start, _best_schedule(start, community, mdp, best[0]), community, mdp
-        )
-        if pick[0] <= best[0]:
+        if mdp.objective is Objective.MIN_TIME_TO_COVERAGE:
             return best
-        best = pick
+        while True:
+            pick = _replay(
+                start, _best_schedule(start, community, mdp, best[0]),
+                community, mdp,
+            )
+            if pick[0] <= best[0]:
+                return best
+            best = pick
+    finally:
+        while len(memo) > entries:
+            memo.popitem()
 
 
 def objective_gain(objective: Objective, before: float, after: float) -> float:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import recovery_rollout
+from recovery_rollout import community as community_module
 from recovery_rollout import planner as planner_module
 from recovery_rollout.community import (
     DAMAGED_STATES,
@@ -33,6 +34,7 @@ from recovery_rollout.mdp import (
     Objective,
     RepairAction,
     RepairModel,
+    count_admissible,
     enumerate_actions,
     initial_state,
     is_terminal,
@@ -46,6 +48,7 @@ from recovery_rollout.planner import (
     RestorationCurve,
     RolloutConfig,
     RolloutMode,
+    _continuation_tables,
     _repair_draws,
     base_action,
     episode_damage,
@@ -269,12 +272,13 @@ def test_trajectory_return_hand_computed():
     state = initial_state(community, damage_for(community, JUNK_DAMAGE), JUNK_MDP)
     junk_first = RepairAction((1,))
     good_first = RepairAction((2,))
+    tables = _continuation_tables(state, BASE, JUNK_MDP, community)
     # repairing the dead end first: 4 days, then 3 more for the real feed
     assert trajectory_return(
-        state, junk_first, BASE, JUNK_MDP, community, draws=None
+        state, junk_first, JUNK_MDP, community, None, tables
     ) == pytest.approx(-7.0)
     assert trajectory_return(
-        state, good_first, BASE, JUNK_MDP, community, draws=None
+        state, good_first, JUNK_MDP, community, None, tables
     ) == pytest.approx(-3.0)
 
 
@@ -286,7 +290,8 @@ def test_trajectory_return_discounting():
     junk_first = RepairAction((1,))
     # first transition undiscounted, the follow-up step scaled by gamma
     assert trajectory_return(
-        state, junk_first, BASE, mdp, community, draws=None
+        state, junk_first, mdp, community, None,
+        _continuation_tables(state, BASE, mdp, community),
     ) == pytest.approx(-4.0 + 0.5 * -3.0)
 
 
@@ -294,8 +299,8 @@ def test_estimate_q_deterministic_single_trajectory():
     community = junk_pair_community()
     state = initial_state(community, damage_for(community, JUNK_DAMAGE), JUNK_MDP)
     est = estimate_q(
-        state, RepairAction((2,)), BASE, RolloutConfig(), JUNK_MDP,
-        community, draws_for_trajectory=lambda j: None,
+        state, RepairAction((2,)), RolloutConfig(), JUNK_MDP, community,
+        lambda j: None, _continuation_tables(state, BASE, JUNK_MDP, community),
     )
     assert est == QEstimate(value=-3.0, std_error=0.0, n_trajectories=1,
                             returns=(-3.0,))
@@ -319,17 +324,18 @@ def test_estimate_q_adaptive_batching():
     mdp = detour_mdp(RepairModel.EXPONENTIAL)
     state = initial_state(community, damage_for(community, DETOUR_DAMAGE), mdp)
     action = RepairAction((3, 4))
+    tables = _continuation_tables(state, BASE, mdp, community)
 
     tight = RolloutConfig(n_mc_min=8, n_mc_max=64, se_threshold=1e-6)
-    est = estimate_q(state, action, BASE, tight, mdp, community,
-                     _table_draws(community))
+    est = estimate_q(state, action, tight, mdp, community,
+                     _table_draws(community), tables)
     assert est.n_trajectories == 64
     assert len(est.returns) == 64
     assert est.value == pytest.approx(float(np.mean(est.returns)))
 
     loose = RolloutConfig(n_mc_min=8, n_mc_max=64, se_threshold=1e9)
-    est = estimate_q(state, action, BASE, loose, mdp, community,
-                     _table_draws(community))
+    est = estimate_q(state, action, loose, mdp, community,
+                     _table_draws(community), tables)
     assert est.n_trajectories == 8
     assert est.std_error < 1e9
 
@@ -341,11 +347,12 @@ def test_worst_case_value_is_minimum_return():
     action = RepairAction((3, 4))
     config = RolloutConfig(n_mc_min=16, n_mc_max=16, se_threshold=1e9,
                            mode=RolloutMode.WORST_CASE)
-    worst = estimate_q(state, action, BASE, config, mdp, community,
-                       _table_draws(community, root_seed=3))
+    tables = _continuation_tables(state, BASE, mdp, community)
+    worst = estimate_q(state, action, config, mdp, community,
+                       _table_draws(community, root_seed=3), tables)
     mean_cfg = RolloutConfig(n_mc_min=16, n_mc_max=16, se_threshold=1e9)
-    mean = estimate_q(state, action, BASE, mean_cfg, mdp, community,
-                      _table_draws(community, root_seed=3))
+    mean = estimate_q(state, action, mean_cfg, mdp, community,
+                      _table_draws(community, root_seed=3), tables)
     assert worst.returns == mean.returns  # shared tables, same trajectories
     assert worst.value == pytest.approx(min(worst.returns))
     assert worst.value <= mean.value + 1e-12
@@ -361,8 +368,9 @@ def test_estimate_q_replays_shared_draws():
     action = RepairAction((3, 4))
     config = RolloutConfig(n_mc_min=16, n_mc_max=16, se_threshold=1e9)
     draws = _table_draws(community, root_seed=8)
-    first = estimate_q(state, action, BASE, config, mdp, community, draws)
-    second = estimate_q(state, action, BASE, config, mdp, community, draws)
+    tables = _continuation_tables(state, BASE, mdp, community)
+    first = estimate_q(state, action, config, mdp, community, draws, tables)
+    second = estimate_q(state, action, config, mdp, community, draws, tables)
     assert first.returns == second.returns
     assert len(set(first.returns)) > 1
 
@@ -418,20 +426,21 @@ def test_trajectory_return_matches_step_by_step_reference(objective, crews):
             must_include=base_action(state, community, mdp, BASE),
         )
         draws_for = _table_draws(community, scenario.seed, decision)
+        tables = _continuation_tables(state, BASE, mdp, community)
         for action in candidates:
             expected = []
             for j in range(n_tables):
                 draws, ref_draws = draws_for(j), draws_for(j)
-                got = trajectory_return(state, action, BASE, mdp, community,
-                                        draws)
+                got = trajectory_return(state, action, mdp, community, draws,
+                                        tables)
                 want = reference_trajectory_return(
                     state, action, BASE, mdp, community, ref_draws
                 )
                 assert got == want, (episode, action, j)
                 assert draws == ref_draws, (episode, action, j)
                 expected.append(want)
-            est = estimate_q(state, action, BASE, config, mdp, community,
-                             draws_for)
+            est = estimate_q(state, action, config, mdp, community,
+                             draws_for, tables)
             assert est.returns == tuple(expected)
 
 
@@ -462,7 +471,8 @@ def test_trajectory_return_finishes_exact_ties_together(water_ids_first):
     )))
     draws, ref_draws = [1.0] * 4, [1.0] * 4
     assert trajectory_return(
-        state, first, BASE, mdp, community, draws
+        state, first, mdp, community, draws,
+        _continuation_tables(state, BASE, mdp, community),
     ) == reference_trajectory_return(
         state, first, BASE, mdp, community, ref_draws
     )
@@ -504,12 +514,14 @@ def test_remaining_work_trajectory_return_matches_step_by_step_reference(
         )
         if is_terminal(state, community, mdp):
             continue
+        tables = _continuation_tables(state, BASE, mdp, community)
         for action in enumerate_actions(state, community, mdp):
             repaired_per_step.clear()
             want = reference_trajectory_return(
                 state, action, BASE, mdp, community, None
             )
-            got = trajectory_return(state, action, BASE, mdp, community, None)
+            got = trajectory_return(state, action, mdp, community, None,
+                                    tables)
             assert got == want, (state.damage, action)
             joint_finishes += any(n > 1 for n in repaired_per_step[1:])
     assert joint_finishes
@@ -559,9 +571,7 @@ def test_one_set_of_tables_serves_the_whole_decision(
             sampled += len(candidates) < len(
                 enumerate_actions(state, community, mdp, cap=10**6)
             )
-            tables = planner_module._continuation_tables(
-                state, BASE, mdp, community
-            )
+            tables = _continuation_tables(state, BASE, mdp, community)
             jobs = [(a, j) for a in candidates for j in range(n_tables)]
             for k in rng.permutation(len(jobs)):
                 action, j = jobs[k]
@@ -570,8 +580,8 @@ def test_one_set_of_tables_serves_the_whole_decision(
                     draws = _repair_draws(community.n_components, 30,
                                           TAG_TRAJECTORY, decision, j)
                     ref_draws = draws.copy()
-                got = trajectory_return(state, action, BASE, mdp, community,
-                                        draws, tables)
+                got = trajectory_return(state, action, mdp, community, draws,
+                                        tables)
                 want = reference_trajectory_return(
                     state, action, BASE, mdp, community, ref_draws
                 )
@@ -627,6 +637,47 @@ def test_rollout_decision_deterministic_given_seed():
     second = rollout_decision(state, BASE, config, mdp, community,
                               root_seed=11, decision_index=3)
     assert first == second
+
+
+@pytest.mark.parametrize("action_cap", [64, 8])
+def test_scored_candidates_hold_the_base_action(action_cap, monkeypatch):
+    """rollout_decision looks the base action's estimate up among the
+    scored candidates.  On mini_gilroy episodes 0-1 every decision with
+    estimates holds it, under the scenario's cap of 64, which enumerates
+    every admissible action, and under a cap of 8, which samples."""
+    scenario = load_scenario(str(DATA / "mini_gilroy.yaml"))
+    community, mdp = scenario.community, scenario.mdp
+    assert scenario.rollout.action_cap == 64
+    config = replace(scenario.rollout, n_mc_min=8, n_mc_max=8,
+                     action_cap=action_cap)
+    real_decision = planner_module.rollout_decision
+    decisions = []
+
+    def recording_decision(state, *args, **kwargs):
+        action, record = real_decision(state, *args, **kwargs)
+        decisions.append((state, record))
+        return action, record
+
+    monkeypatch.setattr(planner_module, "rollout_decision", recording_decision)
+    for ep in range(2):
+        run_episode(
+            PolicyKind.ROLLOUT,
+            episode_damage(community, scenario.hazards, scenario.seed, ep),
+            community, mdp, config, scenario.base_policy,
+            root_seed=scenario.seed, episode_index=ep,
+        )
+    scored = sampled = 0
+    for state, record in decisions:
+        if not record.estimates:
+            continue
+        scored += 1
+        sampled += len(record.estimates) < count_admissible(
+            state, community, mdp
+        )
+        base = base_action(state, community, mdp, scenario.base_policy)
+        assert base in dict(record.estimates), (state.damage, record.index)
+    assert scored
+    assert sampled if action_cap == 8 else not sampled
 
 
 def test_rollout_beats_base_detour_on_most_seeds():
@@ -1147,7 +1198,9 @@ def test_oracle_rate_runs_dinkelbach_past_the_largest_area():
     assert largest_area == pytest.approx(1600.0 / 6.0)
 
 
-def test_oracle_computes_each_benefit_once(count_mask_calls):
+def test_oracle_computes_each_benefit_once(monkeypatch):
+    """Every benefit the oracle computes is for a new outstanding set: the
+    DP reads repeats from the benefit memo."""
     scenario = load_scenario(
         str(Path(recovery_rollout.__file__).parent / "data" / "oracle_demo.yaml")
     )
@@ -1156,12 +1209,44 @@ def test_oracle_computes_each_benefit_once(count_mask_calls):
     damage = tuple(
         D(int(s)) for s in rng.integers(1, 5, size=community.n_components)
     )
-    calls = count_mask_calls()
-    cached_before = len(community._mask_benefit)
+    real_mask = community_module.functional_mask
+    masks = []
+
+    def recording_mask(community, outstanding):
+        masks.append(outstanding)
+        return real_mask(community, outstanding)
+
+    monkeypatch.setattr(community_module, "functional_mask", recording_mask)
     exhaustive_oracle(damage, community, mdp)
-    new_entries = len(community._mask_benefit) - cached_before
-    assert new_entries > 1
-    assert calls[0] == new_entries
+    assert len(masks) > 1
+    assert len(set(masks)) == len(masks)
+
+
+@pytest.mark.parametrize("refused", [False, True])
+def test_oracle_leaves_the_benefit_memo_as_it_found_it(
+    refused, count_mask_calls, monkeypatch
+):
+    """The oracle drops the benefit entries it adds, when it solves a
+    mini_gilroy episode and when it refuses one partway through the DP,
+    and keeps those that an episode added before it."""
+    scenario = load_scenario(str(DATA / "mini_gilroy.yaml"))
+    community = scenario.community
+    mdp = replace(scenario.mdp, repair_model=RepairModel.REMAINING_WORK)
+    damage = episode_damage(community, scenario.hazards, scenario.seed, 0)
+    run_episode(PolicyKind.BASE, damage, community, mdp, scenario.rollout,
+                scenario.base_policy, root_seed=scenario.seed)
+    before = list(community._mask_benefit.items())
+    assert before
+    if refused:
+        monkeypatch.setattr(planner_module, "_ORACLE_MAX_STATES", 50)
+    calls = count_mask_calls()
+    if refused:
+        with pytest.raises(InstanceTooLarge, match="remaining-work states"):
+            exhaustive_oracle(damage, community, mdp)
+    else:
+        exhaustive_oracle(damage, community, mdp)
+    assert calls[0] > 0
+    assert list(community._mask_benefit.items()) == before
 
 
 def test_cached_benefit_reads_continuation_memo(count_mask_calls):
@@ -1170,8 +1255,9 @@ def test_cached_benefit_reads_continuation_memo(count_mask_calls):
     damage = (D.MINOR,) * community.n_components
     state = initial_state(community, damage, mdp)
     first = base_action(state, community, mdp, BASE)
-    trajectory_return(state, first, BASE, mdp, community,
-                      _repair_draws(community.n_components, 0, 0))
+    trajectory_return(state, first, mdp, community,
+                      _repair_draws(community.n_components, 0, 0),
+                      _continuation_tables(state, BASE, mdp, community))
     # the rate objective runs the continuation to full repair: one
     # outstanding set per completion after the first, down to the empty one
     visited = list(community._mask_benefit)
