@@ -220,13 +220,10 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     scenario, seed, rollout_cfg = _resolve_common(args)
     # the oracle needs deterministic repairs; force the model here
     mdp = replace(scenario.mdp, repair_model=RepairModel.REMAINING_WORK)
-    label = _metric_label(mdp.objective)
-    several = args.episodes > 1
     gaps: list[float] = []
     exact = 0
     refusals: list[RecoveryError] = []
-    if several:
-        print(f"metric {label}")
+    print(f"metric {_metric_label(mdp.objective)}")
     for ep in range(args.episodes):
         damage = episode_damage(scenario.community, scenario.hazards, seed, ep)
         try:
@@ -234,8 +231,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         except (InstanceTooLarge, TerminalState) as exc:
             # left out of the summary; fatal only if every episode is refused
             refusals.append(exc)
-            if several:
-                print(f"episode {ep} refused: {exc}")
+            print(f"episode {ep} refused: {exc}")
             continue
         result = run_episode(
             PolicyKind.ROLLOUT, damage, scenario.community, mdp, rollout_cfg,
@@ -245,25 +241,19 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         gap = oracle_gap(achieved, optimum, mdp.objective)
         gaps.append(gap)
         exact += abs(achieved - optimum) <= 1e-9
-        if several:
-            print(
-                f"episode {ep} oracle_optimum {_fmt(optimum)} "
-                f"rollout {_fmt(achieved)} gap_pct {_fmt(gap * 100.0)}"
-            )
-        else:
-            print(f"oracle_optimum {label} {_fmt(optimum)}")
-            print(f"rollout {label} {_fmt(achieved)}")
-            print(f"gap_pct {_fmt(gap * 100.0)}")
+        print(
+            f"episode {ep} oracle_optimum {_fmt(optimum)} "
+            f"rollout {_fmt(achieved)} gap_pct {_fmt(gap * 100.0)}"
+        )
     if not gaps:
         raise refusals[0]
-    if several:
-        pct = np.array(gaps) * 100.0
-        print(
-            f"gap_pct mean {_fmt(pct.mean())} median {_fmt(np.median(pct))} "
-            f"max {_fmt(pct.max())}"
-        )
-        print(f"exact_episodes {exact}")
-        print(f"refused_episodes {len(refusals)}")
+    pct = np.array(gaps) * 100.0
+    print(
+        f"gap_pct mean {_fmt(pct.mean())} median {_fmt(np.median(pct))} "
+        f"max {_fmt(pct.max())}"
+    )
+    print(f"exact_episodes {exact}")
+    print(f"refused_episodes {len(refusals)}")
     verdict = "PASS" if max(gaps) <= _ORACLE_GAP_TOLERANCE else "FAIL"
     print(f"{verdict} (tolerance {_fmt(_ORACLE_GAP_TOLERANCE * 100.0)}%)")
     return 0

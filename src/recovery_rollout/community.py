@@ -236,15 +236,13 @@ class Community:
         )
         self.populations: tuple[int, ...] = tuple(c.population for c in self.cells)
         self.total_population: int = sum(self.populations)
+        if self.total_population <= 0:
+            raise ValidationError("community population is zero")
 
         self.weights: tuple[tuple[float, ...], ...] = gravity_weights(self)
         # the covered fraction with nothing damaged: 1 up to rounding in
         # the weights, which can leave it one ulp short
-        self.full_coverage: float = (
-            benefit_for_damage(self, 0) / self.total_population
-            if self.total_population
-            else 1.0
-        )
+        self.full_coverage: float = benefit_for_damage(self, 0) / self.total_population
         # outstanding sets recur heavily across simulated trajectories, so
         # benefit_for_damage_cached and the planner's base-policy
         # continuation share one benefit memo keyed by the outstanding-set

@@ -208,8 +208,6 @@ def enumerate_actions(
 def coverage_fraction(state: RecoveryState, community: Community) -> float:
     """Fraction of the population currently benefitting from both utilities
     and a served retailer."""
-    if community.total_population <= 0:
-        raise ValidationError("community population is zero")
     return (
         benefit_for_damage_cached(community, state.damage)
         / community.total_population

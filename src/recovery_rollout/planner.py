@@ -6,7 +6,8 @@ The rollout policy scores each candidate first action by simulating the base
 policy afterwards and picking the best estimated Q-value.  All randomness is
 derived from an integer root seed through tagged SeedSequence keys, so every
 stream is a pure function of (root, purpose, indices) and results do not
-depend on execution order.
+depend on execution order.  The one exception: worst-case mode's paired
+bootstrap (_paired_se) resamples from a fixed default_rng(0).
 """
 
 from __future__ import annotations
@@ -401,15 +402,6 @@ def rollout_decision(
         rng=action_rng,
         must_include=base,
     )
-    if len(candidates) == 1:
-        record = DecisionRecord(
-            index=decision_index,
-            elapsed_time=state.elapsed_time,
-            chosen=candidates[0],
-            estimates=(),
-        )
-        return candidates[0], record
-
     noise: dict[int, list[float]] = {}
 
     def draws_for_trajectory(j: int) -> list[float]:
@@ -421,30 +413,32 @@ def rollout_decision(
             )
         return table.copy()
 
-    tables = _continuation_tables(state, base_policy, mdp, community)
-    scored = [
-        (action, estimate_q(
-            state, action, rollout_config, mdp, community,
-            draws_for_trajectory, tables,
-        ))
-        for action in candidates
-    ]
-    # enumerate_actions always returns the base action among the candidates
-    base_est = dict(scored)[base]
-    # Deviating from the base action requires evidence above the estimator
-    # noise, else Monte-Carlo flutter would erode the not-worse guarantee.
-    # Noise is the paired standard error against the base estimate (the
-    # candidates shared their trajectory tables), plus a resolution band;
-    # within the band, ties go to the lexicographically largest indices.
-    _, top_est = max(scored, key=lambda pair: pair[1].value)
-    top = top_est.value
-    band = _TIE_BAND_REL * max(1.0, abs(top))
-    se = _paired_se(top_est, base_est, rollout_config.mode)
-    if top - base_est.value <= band + _DEVIATION_Z * se:
-        best_action = base
-    else:
-        tied = [(action, est) for action, est in scored if est.value >= top - band]
-        best_action, _ = max(tied, key=lambda pair: pair[0].indices)
+    # enumerate_actions always returns the base action among the candidates,
+    # so a lone candidate is the base action and needs no estimate
+    scored: list[tuple[RepairAction, QEstimate]] = []
+    best_action = base
+    if len(candidates) > 1:
+        tables = _continuation_tables(state, base_policy, mdp, community)
+        scored = [
+            (action, estimate_q(
+                state, action, rollout_config, mdp, community,
+                draws_for_trajectory, tables,
+            ))
+            for action in candidates
+        ]
+        base_est = dict(scored)[base]
+        # Deviating from the base action requires evidence above the estimator
+        # noise, else Monte-Carlo flutter would erode the not-worse guarantee.
+        # Noise is the paired standard error against the base estimate (the
+        # candidates shared their trajectory tables), plus a resolution band;
+        # within the band, ties go to the lexicographically largest indices.
+        _, top_est = max(scored, key=lambda pair: pair[1].value)
+        top = top_est.value
+        band = _TIE_BAND_REL * max(1.0, abs(top))
+        se = _paired_se(top_est, base_est, rollout_config.mode)
+        if top - base_est.value > band + _DEVIATION_Z * se:
+            tied = [(action, est) for action, est in scored if est.value >= top - band]
+            best_action, _ = max(tied, key=lambda pair: pair[0].indices)
     record = DecisionRecord(
         index=decision_index,
         elapsed_time=state.elapsed_time,
@@ -498,12 +492,15 @@ class StepRecord:
 @dataclass(frozen=True)
 class EpisodeResult:
     curve: RestorationCurve
-    total_time: float
     steps: tuple[StepRecord, ...]
     decisions: tuple[DecisionRecord, ...]
     # first time each retailer had both utilities; inf if never during
     # the episode (possible under the coverage objective)
     retailer_recovery: tuple[float, ...]
+
+    @property
+    def total_time(self) -> float:
+        return self.curve.total_time
 
     def metric(self, objective: Objective) -> float:
         if objective is Objective.MIN_TIME_TO_COVERAGE:
@@ -590,7 +587,6 @@ def run_episode(
         k += 1
     return EpisodeResult(
         curve=RestorationCurve(points=tuple(points)),
-        total_time=state.elapsed_time,
         steps=tuple(steps),
         decisions=tuple(decisions),
         retailer_recovery=tuple(retailer_recovery),

@@ -82,7 +82,7 @@ CASES = [
         ["oracle-check", "--scenario", DEMO],
         False,
         {
-            "stdout": "bc1e37352926388087ab598584c5688b4c45a370ce92795c0fc8907b46a3cd06",
+            "stdout": "7f7d42505f3797848f127d239f13aea3f12992c010710f2473e77f4dc7414c84",
         },
     ),
 ]

@@ -518,7 +518,13 @@ BROKEN_SCENARIOS = {
         "exceedance probabilities increase with severity; curves cross"),
     "missing-hazard-entry": ("sample-damage", lambda doc: doc["hazard"].pop("default"),
                              "no hazard entry for components [3, 7]"),
-    "zero-population": ("plan", _zero_population, "community population is zero"),
+    "zero-population": ("sample-damage", _zero_population,
+                        "community population is zero"),
+    "zero-population-rate": (
+        "plan",
+        lambda doc: (_zero_population(doc),
+                     doc["mdp"].update(objective="max_benefit_rate")),
+        "community population is zero"),
     "repair-days-decrease": (
         "sample-damage",
         lambda doc: doc["components"][6]["repair_days"].update(moderate=0.4),
@@ -583,8 +589,11 @@ def test_oracle_check_on_undamaged_scenario_exits_1(tmp_path, capsys):
     undamaged = tmp_path / "undamaged.yaml"
     undamaged.write_text(yaml.safe_dump(doc), encoding="utf-8")
     assert main(["oracle-check", "--scenario", str(undamaged)]) == 1
-    assert capsys.readouterr() == ("", "error: initial state is already terminal\n")
-    # with several episodes, each refusal gets a line first
+    assert capsys.readouterr() == (
+        "metric time_to_coverage_days\n"
+        "episode 0 refused: initial state is already terminal\n",
+        "error: initial state is already terminal\n",
+    )
     argv = ["oracle-check", "--scenario", str(undamaged), "--episodes", "2"]
     assert main(argv) == 1
     assert capsys.readouterr() == (
@@ -639,14 +648,20 @@ def test_compare_outputs(tmp_path, capsys):
     assert "improvement" in capsys.readouterr().out
 
 
-def test_compare_paired_lines_under_rate_objective(tmp_path, capsys):
-    rate_copy = tmp_path / "mini_gilroy_rate.yaml"
+def _rate_copy(directory: Path) -> str:
+    """mini_gilroy.yaml under the max_benefit_rate objective, written to
+    directory; returns its path."""
+    rate_copy = directory / "mini_gilroy_rate.yaml"
     rate_copy.write_text(
         Path(MINI).read_text().replace(
             "objective: min_time_to_coverage", "objective: max_benefit_rate"
         )
     )
-    code = main(["compare", "--scenario", str(rate_copy), "--episodes", "2",
+    return str(rate_copy)
+
+
+def test_compare_paired_lines_under_rate_objective(tmp_path, capsys):
+    code = main(["compare", "--scenario", _rate_copy(tmp_path), "--episodes", "2",
                  "--out", str(tmp_path / "out")])
     assert code == 0
     summary = (tmp_path / "out" / "compare_summary.txt").read_text(encoding="utf-8")
@@ -674,25 +689,33 @@ def test_oracle_check_refuses_too_many_damaged(tmp_path, capsys):
     two_crews.write_text(Path(MINI).read_text().replace("n_e: 1", "n_e: 2"))
     code = main(["oracle-check", "--scenario", str(two_crews)])
     assert code == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "error: 11 damaged components exceed the oracle bound 8\n"
+    assert capsys.readouterr() == (
+        "metric time_to_coverage_days\n"
+        "episode 0 refused: 11 damaged components exceed the oracle bound 8\n",
+        "error: 11 damaged components exceed the oracle bound 8\n",
     )
 
 
+# stands for the path of _rate_copy in an ORACLE_CHECK_OUTPUTS case
+RATE_MINI = "<mini_gilroy under max_benefit_rate>"
+
 # (arguments after the command, the oracle's state bound, stdout)
 ORACLE_CHECK_OUTPUTS = {
+    # one episode prints the same report as several
     "oracle_demo": ([DEMO], 100_000, """\
-oracle_optimum time_to_coverage_days 8.500000
-rollout time_to_coverage_days 8.500000
-gap_pct 0.000000
+metric time_to_coverage_days
+episode 0 oracle_optimum 8.500000 rollout 8.500000 gap_pct 0.000000
+gap_pct mean 0.000000 median 0.000000 max 0.000000
+exact_episodes 1
+refused_episodes 0
 PASS (tolerance 5.000000%)
 """),
     "mini_gilroy": ([MINI], 100_000, """\
-oracle_optimum time_to_coverage_days 13.200000
-rollout time_to_coverage_days 13.200000
-gap_pct 0.000000
+metric time_to_coverage_days
+episode 0 oracle_optimum 13.200000 rollout 13.200000 gap_pct 0.000000
+gap_pct mean 0.000000 median 0.000000 max 0.000000
+exact_episodes 1
+refused_episodes 0
 PASS (tolerance 5.000000%)
 """),
     "oracle_demo-3-episodes": ([DEMO, "--episodes", "3"], 100_000, """\
@@ -728,12 +751,24 @@ exact_episodes 1
 refused_episodes 2
 PASS (tolerance 5.000000%)
 """),
+    # the rate objective runs the oracle's Dinkelbach iteration
+    "mini_gilroy-rate-3-episodes": ([RATE_MINI, "--episodes", "3"], 100_000, """\
+metric persons_per_day
+episode 0 oracle_optimum 22359.711263 rollout 1135.977085 gap_pct 94.919536
+episode 1 oracle_optimum 10648.884892 rollout 968.440896 gap_pct 90.905706
+episode 2 oracle_optimum 13353.802238 rollout 5654.535369 gap_pct 57.655990
+gap_pct mean 81.160411 median 90.905706 max 94.919536
+exact_episodes 0
+refused_episodes 0
+FAIL (tolerance 5.000000%)
+"""),
 }
 
 
 @pytest.mark.parametrize("case", list(ORACLE_CHECK_OUTPUTS))
-def test_oracle_check_output(case, monkeypatch, capsys):
+def test_oracle_check_output(case, monkeypatch, capsys, tmp_path):
     args, max_states, expected = ORACLE_CHECK_OUTPUTS[case]
+    args = [_rate_copy(tmp_path) if a == RATE_MINI else a for a in args]
     monkeypatch.setattr(planner_module, "_ORACLE_MAX_STATES", max_states)
     assert main(["oracle-check", "--scenario", *args]) == 0
     assert capsys.readouterr() == (expected, "")
