@@ -25,15 +25,13 @@ def _std_normal_cdf(z: float) -> float:
 
 @dataclass(frozen=True)
 class FragilityCurve:
-    """Lognormal exceedance curve for one damage state."""
+    """Lognormal exceedance curve for one damage state; which state is
+    given by the curve's position in its FragilitySet."""
 
-    damage_state: DamageState
     median_im: float
     beta: float
 
     def __post_init__(self) -> None:
-        if self.damage_state == DamageState.NONE:
-            raise ValidationError("fragility curves start at the minor damage state")
         if self.median_im <= 0.0:
             raise ValidationError("fragility median must be > 0")
         if self.beta <= 0.0:
@@ -52,8 +50,7 @@ class FragilitySet:
     def __post_init__(self) -> None:
         if self.im <= 0.0:
             raise ValidationError("intensity measure must be > 0")
-        states = tuple(c.damage_state for c in self.curves)
-        if states != DAMAGED_STATES:
+        if len(self.curves) != len(DAMAGED_STATES):
             raise ValidationError(
                 "fragility set needs one curve per damaged state, minor to complete"
             )
@@ -65,7 +62,7 @@ class FragilitySet:
 
 
 def exceedance_prob(im: float, curve: FragilityCurve) -> float:
-    """P(damage >= curve.damage_state) at intensity im."""
+    """P(damage >= the curve's damage state) at intensity im."""
     if im <= 0.0:
         raise ValidationError(f"intensity measure must be > 0, got {im}")
     return _std_normal_cdf(math.log(im / curve.median_im) / curve.beta)

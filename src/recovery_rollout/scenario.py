@@ -5,7 +5,8 @@ Parsing reports the offending field path in a ParseError; a semantic
 problem propagates as the model builder's ValidationError, whose message
 names the broken invariant.  The mdp and rollout sections and each cell
 and retailer entry are read field by field from their dataclasses, so
-their types and defaults are declared there only.
+their types and defaults are declared there only; there, as at the top
+level, a key that names no field is a ParseError.
 """
 
 from __future__ import annotations
@@ -119,12 +120,23 @@ def _record_fields(cls: type) -> tuple[tuple[str, Callable, bool], ...]:
     return tuple(specs)
 
 
+def _reject_unknown(raw: dict, known: tuple[str, ...], path: str) -> None:
+    """Raise on a key outside known: a misspelt key would otherwise leave
+    its field at the default."""
+    for key in raw:
+        if key not in known:
+            names = ", ".join(sorted(known))
+            raise ParseError(f"{path}.{key}: unknown field (one of: {names})")
+
+
 def _read_record(cls: type, raw: Any, path: str) -> Any:
     """A dataclass from a mapping keyed by its field names; an omitted
-    field takes the dataclass default, and unknown keys are ignored."""
+    field takes the dataclass default."""
     raw = _expect(raw, path)
+    specs = _record_fields(cls)
+    _reject_unknown(raw, tuple(name for name, _, _ in specs), path)
     values = {}
-    for name, read, required in _record_fields(cls):
+    for name, read, required in specs:
         if name in raw:
             values[name] = read(raw[name], f"{path}.{name}")
         elif required:
@@ -189,20 +201,12 @@ def _parse_hazard_entry(raw: Any, path: str) -> ComponentHazard:
     curves = []
     for state in DAMAGED_STATES:
         key = state.name.lower()
-        entry = _expect(_get(curves_raw, key, f"{path}.curves"), f"{path}.curves.{key}")
-        curves.append(
-            FragilityCurve(
-                damage_state=state,
-                median_im=_number(
-                    _get(entry, "median", f"{path}.curves.{key}"),
-                    f"{path}.curves.{key}.median",
-                ),
-                beta=_number(
-                    _get(entry, "beta", f"{path}.curves.{key}"),
-                    f"{path}.curves.{key}.beta",
-                ),
-            )
-        )
+        at = f"{path}.curves.{key}"
+        entry = _expect(_get(curves_raw, key, f"{path}.curves"), at)
+        curves.append(FragilityCurve(
+            median_im=_number(_get(entry, "median", at), f"{at}.median"),
+            beta=_number(_get(entry, "beta", at), f"{at}.beta"),
+        ))
     return ComponentHazard(fragility=FragilitySet(im=im, curves=tuple(curves)))
 
 
@@ -232,20 +236,13 @@ def _parse_hazards(
     return hazards
 
 
-def _parse_rollout(raw: Any) -> RolloutConfig:
-    raw = _expect(raw if raw is not None else {}, "rollout")
-    if "horizon" in raw:
-        # rejected, not ignored: a file written for truncated trajectories
-        # would otherwise silently compute something else
-        raise ParseError(
-            "rollout.horizon: no longer supported; every trajectory runs "
-            "to a terminal state"
-        )
-    return _read_record(RolloutConfig, raw, "rollout")
+_SECTIONS = ("name", "seed", "components", "edges", "cells", "retailers",
+             "gravity_exponent", "hazard", "mdp", "rollout")
 
 
 def parse_scenario(raw: Any, source: str = "<scenario>") -> Scenario:
     doc = _expect(raw, source)
+    _reject_unknown(doc, _SECTIONS, source)
     components_raw = _get(doc, "components", source)
     if not isinstance(components_raw, list) or not components_raw:
         raise ParseError(f"{source}.components: expected a non-empty list")
@@ -295,6 +292,7 @@ def parse_scenario(raw: Any, source: str = "<scenario>") -> Scenario:
             doc.get("gravity_exponent", 2.0), "gravity_exponent"
         ),
     )
+    rollout_raw = doc.get("rollout")  # an empty section takes the defaults
     seed = _integer(doc.get("seed", 0), "seed")
     if not 0 <= seed < 2**64:
         raise ParseError("seed: must fit in an unsigned 64-bit integer")
@@ -303,7 +301,9 @@ def parse_scenario(raw: Any, source: str = "<scenario>") -> Scenario:
         community=community,
         hazards=_parse_hazards(doc.get("hazard"), components),
         mdp=_read_record(MdpConfig, _get(doc, "mdp", source), "mdp"),
-        rollout=_parse_rollout(doc.get("rollout")),
+        rollout=_read_record(
+            RolloutConfig, {} if rollout_raw is None else rollout_raw, "rollout"
+        ),
         base_policy=PriorityBasePolicy(),
         seed=seed,
     )

@@ -15,6 +15,8 @@ import pytest
 import recovery_rollout
 from recovery_rollout.cli import main
 
+from test_scenario_cli import RATE_MINI, _rate_copy
+
 DATA = Path(recovery_rollout.__file__).parent / "data"
 MINI = str(DATA / "mini_gilroy.yaml")
 DEMO = str(DATA / "oracle_demo.yaml")
@@ -58,6 +60,19 @@ CASES = [
         },
     ),
     (
+        # the reward is B/elapsed in both the step and the continuation
+        "compare-mini-rate",
+        ["compare", "--scenario", RATE_MINI, "--episodes", "2"],
+        True,
+        {
+            "stdout": "a9489f78ea065467d70f4f8d1308696fe24e7ce35ef76eff34ab12308d652fe8",
+            "compare_retailers.csv": "beeddce793b4e83add99fbb8ad671a6d455dd591ee604bd0cbfb6a8ddb358d1c",
+            "compare_summary.txt": "02071d6670fed996fee7587b0540a23fad0afa9c19322765b1508226c370eadb",
+            "curve_base_ep0.csv": "3438e23cd3ef561405e20b094dbe72614f76b27c6c735ecf1267b59a4e8236e0",
+            "curve_rollout_ep0.csv": "2eb8e66bf64673924641a3e3f67675be0da7b6a1ee0aee92da50d05757dbb697",
+        },
+    ),
+    (
         "sample-damage-mini",
         ["sample-damage", "--scenario", MINI, "--episodes", "5"],
         True,
@@ -75,6 +90,19 @@ CASES = [
             "curve_rollout_ep0.csv": "e273ed8de65966c6de1734f03785bdca67a47c0f517be7aaddbded642c8a03aa",
             "summary_plan.txt": "dc3c753579edda8ae3e9e1560deeb0450b57b19b0eff893edbefdc61e624e724",
             "trace_rollout.txt": "96d722e84d6c20618dc1a7c13fb6765e2882b5eb16f3ad352d4dd095d73ac482",
+        },
+    ),
+    (
+        # the remaining-work repair model
+        "compare-demo",
+        ["compare", "--scenario", DEMO, "--episodes", "2"],
+        True,
+        {
+            "stdout": "4c139020979c17e76ee5021a9de6b653a52845ed7fe927a3729ad33b0f35dadc",
+            "compare_retailers.csv": "ef13a18a35390ac4c44f0a8137cf7ca9a9dc9c4f1ffbd2866b153b26f9bdc898",
+            "compare_summary.txt": "596debea2831a6c3c105d26deae16316f239bde4029639ba8e011ee6bbb00404",
+            "curve_base_ep0.csv": "e273ed8de65966c6de1734f03785bdca67a47c0f517be7aaddbded642c8a03aa",
+            "curve_rollout_ep0.csv": "e273ed8de65966c6de1734f03785bdca67a47c0f517be7aaddbded642c8a03aa",
         },
     ),
     (
@@ -110,4 +138,5 @@ def run_digests(argv: list[str], writes_files: bool, out: Path, capsys) -> dict:
     [pytest.param(argv, w, exp, id=name) for name, argv, w, exp in CASES],
 )
 def test_cli_outputs_match_golden_digests(argv, writes_files, expected, tmp_path, capsys):
+    argv = [_rate_copy(tmp_path) if a == RATE_MINI else a for a in argv]
     assert run_digests(argv, writes_files, tmp_path / "out", capsys) == expected

@@ -24,41 +24,34 @@ from recovery_rollout.hazard import (
 
 from conftest import damage_for, desk_community, two_utility_community
 
-STATES = (
-    DamageState.MINOR,
-    DamageState.MODERATE,
-    DamageState.EXTENSIVE,
-    DamageState.COMPLETE,
-)
 
-
-def curve(state: DamageState, median: float, beta: float = 0.5) -> FragilityCurve:
-    return FragilityCurve(damage_state=state, median_im=median, beta=beta)
+def curve(median: float, beta: float = 0.5) -> FragilityCurve:
+    return FragilityCurve(median_im=median, beta=beta)
 
 
 def simple_set(im: float = 0.4, beta: float = 0.5) -> FragilitySet:
     medians = (0.2, 0.4, 0.7, 1.2)
     return FragilitySet(
         im=im,
-        curves=tuple(curve(s, m, beta) for s, m in zip(STATES, medians)),
+        curves=tuple(curve(m, beta) for m in medians),
     )
 
 
 def test_exceedance_at_median_is_half():
-    c = curve(DamageState.MODERATE, median=0.45)
+    c = curve(median=0.45)
     assert exceedance_prob(0.45, c) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_exceedance_one_beta_above_median():
     beta = 0.6
-    c = curve(DamageState.MINOR, median=0.3, beta=beta)
+    c = curve(median=0.3, beta=beta)
     im = 0.3 * math.exp(beta)
     assert exceedance_prob(im, c) == pytest.approx(stats.norm.cdf(1.0), abs=1e-9)
     assert exceedance_prob(im, c) == pytest.approx(0.8413, abs=5e-5)
 
 
 def test_exceedance_worked_value():
-    c = curve(DamageState.EXTENSIVE, median=0.45, beta=0.5)
+    c = curve(median=0.45, beta=0.5)
     got = exceedance_prob(0.30, c)
     assert got == pytest.approx(stats.norm.cdf(math.log(0.30 / 0.45) / 0.5),
                                 abs=1e-12)
@@ -69,7 +62,7 @@ def test_exceedance_rejects_nonpositive_im():
     with pytest.raises(
         ValidationError, match=re.escape("intensity measure must be > 0, got 0.0")
     ):
-        exceedance_prob(0.0, curve(DamageState.MINOR, 0.3))
+        exceedance_prob(0.0, curve(0.3))
 
 
 def test_pmf_by_successive_differences():
@@ -81,7 +74,7 @@ def test_pmf_by_successive_differences():
     medians = tuple(im * math.exp(-beta * stats.norm.ppf(p)) for p in targets)
     fs = FragilitySet(
         im=im,
-        curves=tuple(curve(s, m, beta) for s, m in zip(STATES, medians)),
+        curves=tuple(curve(m, beta) for m in medians),
     )
     pmf = damage_pmf(fs)
     assert pmf == pytest.approx((0.1, 0.3, 0.3, 0.2, 0.1), abs=1e-9)
@@ -104,12 +97,20 @@ def test_nonmonotone_medians_rejected():
         FragilitySet(
             im=0.4,
             curves=(
-                curve(DamageState.MINOR, 0.5),
-                curve(DamageState.MODERATE, 0.4),
-                curve(DamageState.EXTENSIVE, 0.7),
-                curve(DamageState.COMPLETE, 1.2),
+                curve(0.5),
+                curve(0.4),
+                curve(0.7),
+                curve(1.2),
             ),
         )
+
+
+def test_fragility_set_needs_four_curves():
+    with pytest.raises(
+        ValidationError,
+        match="fragility set needs one curve per damaged state, minor to complete",
+    ):
+        FragilitySet(im=0.4, curves=(curve(0.2), curve(0.4), curve(0.7)))
 
 
 def test_crossing_betas_rejected_at_pmf_time():
@@ -118,10 +119,10 @@ def test_crossing_betas_rejected_at_pmf_time():
     fs = FragilitySet(
         im=10.0,
         curves=(
-            curve(DamageState.MINOR, 0.2, beta=2.0),
-            curve(DamageState.MODERATE, 0.21, beta=0.05),
-            curve(DamageState.EXTENSIVE, 0.7, beta=0.5),
-            curve(DamageState.COMPLETE, 1.2, beta=0.5),
+            curve(0.2, beta=2.0),
+            curve(0.21, beta=0.05),
+            curve(0.7, beta=0.5),
+            curve(1.2, beta=0.5),
         ),
     )
     with pytest.raises(
@@ -141,7 +142,7 @@ def test_pmf_sums_to_one(im, first_median, step):
     medians = tuple(first_median + i * step for i in range(4))
     fs = FragilitySet(
         im=im,
-        curves=tuple(curve(s, m, beta=0.5) for s, m in zip(STATES, medians)),
+        curves=tuple(curve(m, beta=0.5) for m in medians),
     )
     pmf = damage_pmf(fs)
     assert all(p >= 0.0 for p in pmf)
@@ -157,7 +158,7 @@ def test_pmf_sums_to_one(im, first_median, step):
 def test_exceedance_monotone_in_im(im_a, im_b):
     # adjacent floats can round to the same z, so strictness holds only
     # once the intensities are more than a relative 1e-6 apart
-    c = curve(DamageState.MODERATE, median=0.5, beta=0.4)
+    c = curve(median=0.5, beta=0.4)
     lo, hi = sorted((im_a, im_b))
     p_lo, p_hi = exceedance_prob(lo, c), exceedance_prob(hi, c)
     assert p_lo <= p_hi

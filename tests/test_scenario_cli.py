@@ -233,9 +233,29 @@ def test_rollout_horizon_rejected():
     doc["rollout"] = {"horizon": 5}
     with pytest.raises(ParseError, match=r"rollout\.horizon"):
         parse_scenario(doc)
-    # other unknown rollout keys stay ignored
+    # so does every other unknown rollout key
     doc["rollout"] = {"lookahead_note": 5}
-    assert parse_scenario(doc).rollout.n_mc_min == 32
+    with pytest.raises(ParseError, match=r"rollout\.lookahead_note"):
+        parse_scenario(doc)
+
+
+@pytest.mark.parametrize("where, key, path", [
+    ((), "rolout", "<scenario>.rolout"),
+    (("mdp",), "objectve", "mdp.objectve"),
+    (("rollout",), "n_mc_mx", "rollout.n_mc_mx"),
+    (("cells", 0), "populaton", "cells[0].populaton"),
+    (("retailers", 0), "capcity", "retailers[0].capcity"),
+], ids=["top-level", "mdp", "rollout", "cell", "retailer"])
+def test_misspelt_key_rejected(where, key, path):
+    # ignored, the key would leave its field at the default
+    doc = minimal_doc()
+    doc["rollout"] = {}
+    section = doc
+    for step in where:
+        section = section[step]
+    section[key] = 1
+    with pytest.raises(ParseError, match=re.escape(f"{path}: unknown field (one of: ")):
+        parse_scenario(doc)
 
 
 # Every field of the records read from a section: (section, field, value
@@ -696,7 +716,8 @@ def test_oracle_check_refuses_too_many_damaged(tmp_path, capsys):
     )
 
 
-# stands for the path of _rate_copy in an ORACLE_CHECK_OUTPUTS case
+# stands for the path of _rate_copy in an ORACLE_CHECK_OUTPUTS case or a
+# golden case
 RATE_MINI = "<mini_gilroy under max_benefit_rate>"
 
 # (arguments after the command, the oracle's state bound, stdout)
