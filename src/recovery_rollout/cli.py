@@ -89,11 +89,11 @@ def _curve_text(curve: RestorationCurve) -> str:
 def _trace_text(results: list[EpisodeResult]) -> str:
     lines = []
     for ep, res in enumerate(results):
-        for s in res.steps:
+        for k, s in enumerate(res.steps):
             assigned = ",".join(str(i) for i in s.assigned)
             repaired = ",".join(str(i) for i in s.repaired)
             lines.append(
-                f"ep {ep} step {s.decision_index} time {_fmt(s.time_days)} "
+                f"ep {ep} step {k} time {_fmt(s.time_days)} "
                 f"assigned [{assigned}] repaired [{repaired}] "
                 f"reward {_fmt(s.reward)}"
             )

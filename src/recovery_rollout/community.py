@@ -34,9 +34,6 @@ class ComponentClass(enum.Enum):
     PUMPING_PLANT = "pumping_plant"
     PIPELINE = "pipeline"
 
-    # identity hash agrees with == for singleton members; Enum.__hash__ runs in Python
-    __hash__ = object.__hash__
-
     @property
     def network(self) -> Network:
         if self in (

@@ -166,7 +166,6 @@ class DecisionRecord:
     estimate.  estimates is empty when only one action was admissible."""
 
     index: int
-    elapsed_time: float
     chosen: RepairAction
     estimates: tuple[tuple[RepairAction, QEstimate], ...]
 
@@ -441,7 +440,6 @@ def rollout_decision(
             best_action, _ = max(tied, key=lambda pair: pair[0].indices)
     record = DecisionRecord(
         index=decision_index,
-        elapsed_time=state.elapsed_time,
         chosen=best_action,
         estimates=tuple(scored),
     )
@@ -482,7 +480,6 @@ class RestorationCurve:
 
 @dataclass(frozen=True)
 class StepRecord:
-    decision_index: int
     time_days: float
     assigned: tuple[int, ...]
     repaired: tuple[int, ...]
@@ -558,7 +555,6 @@ def run_episode(
     points = [_observe(community, state, retailer_recovery)]
     steps: list[StepRecord] = []
     decisions: list[DecisionRecord] = []
-    k = 0
     while not is_terminal(state, community, mdp):
         if policy is PolicyKind.BASE:
             action = base_action(state, community, mdp, base_policy)
@@ -566,7 +562,7 @@ def run_episode(
             action, record = rollout_decision(
                 state, base_policy, rollout_config, mdp, community,
                 root_seed=root_seed,
-                decision_index=episode_index * 10_000 + k,
+                decision_index=episode_index * 10_000 + len(steps),
             )
             decisions.append(record)
         state, r = transition(state, action, community, mdp, env_draws)
@@ -575,7 +571,6 @@ def run_episode(
         comps = community.components
         steps.append(
             StepRecord(
-                decision_index=k,
                 time_days=state.elapsed_time,
                 assigned=tuple(comps[i].id for i in action.indices),
                 repaired=tuple(
@@ -584,7 +579,6 @@ def run_episode(
                 reward=r,
             )
         )
-        k += 1
     return EpisodeResult(
         curve=RestorationCurve(points=tuple(points)),
         steps=tuple(steps),
@@ -684,7 +678,10 @@ def _best_schedule(
             if not started.issubset(action.indices):
                 continue
             nxt, _ = transition(state, action, community, mdp, None)
-            value = weight * (nxt.elapsed_time - state.elapsed_time) + solve(nxt)
+            # transition's completion under remaining work (unit 1.0), read
+            # from the key so that the stored value depends on the key alone
+            completion = min(key[i] for i in action.indices)
+            value = weight * completion + solve(nxt)
             if value > best or (
                 value == best and action.indices > best_action.indices
             ):

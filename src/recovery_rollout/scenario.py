@@ -3,10 +3,11 @@ and the run configuration.  One file is one reproducible experiment.
 
 Parsing reports the offending field path in a ParseError; a semantic
 problem propagates as the model builder's ValidationError, whose message
-names the broken invariant.  The mdp and rollout sections and each cell
-and retailer entry are read field by field from their dataclasses, so
-their types and defaults are declared there only; there, as at the top
-level, a key that names no field is a ParseError.
+names the broken invariant.  Every mapping is read through _mapping,
+so a key outside its allow-list is a ParseError wherever it appears.  The
+mdp and rollout sections and each cell and retailer entry are read field
+by field from their dataclasses, so their types and defaults are declared
+there only.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ from .planner import PriorityBasePolicy, RolloutConfig
 
 _CLASS_NAMES = {c.value: c for c in ComponentClass}
 _STATE_NAMES = {s.name.lower(): s for s in DamageState}
+_DAMAGED_NAMES = tuple(s.name.lower() for s in DAMAGED_STATES)
+# location is accepted and ignored, so older files that place components load
+_COMPONENT_KEYS = ("id", "class", "repair_days", "any_supplier", "location")
 
 
 @dataclass(frozen=True)
@@ -50,10 +54,17 @@ class Scenario:
     seed: int
 
 
-def _expect(mapping: Any, path: str) -> dict:
-    if not isinstance(mapping, dict):
-        raise ParseError(f"{path}: expected a mapping, got {type(mapping).__name__}")
-    return mapping
+def _mapping(raw: Any, path: str, known: tuple[str, ...] | None) -> dict:
+    """raw as a dict whose keys all lie in known: a misspelt key would
+    otherwise leave its field at the default.  known is None only for a
+    table keyed by component id, whose caller checks each key."""
+    if not isinstance(raw, dict):
+        raise ParseError(f"{path}: expected a mapping, got {type(raw).__name__}")
+    for key in raw:
+        if known is not None and key not in known:
+            names = ", ".join(sorted(known))
+            raise ParseError(f"{path}.{key}: unknown field (one of: {names})")
+    return raw
 
 
 def _get(mapping: dict, key: str, path: str) -> Any:
@@ -120,21 +131,11 @@ def _record_fields(cls: type) -> tuple[tuple[str, Callable, bool], ...]:
     return tuple(specs)
 
 
-def _reject_unknown(raw: dict, known: tuple[str, ...], path: str) -> None:
-    """Raise on a key outside known: a misspelt key would otherwise leave
-    its field at the default."""
-    for key in raw:
-        if key not in known:
-            names = ", ".join(sorted(known))
-            raise ParseError(f"{path}.{key}: unknown field (one of: {names})")
-
-
 def _read_record(cls: type, raw: Any, path: str) -> Any:
     """A dataclass from a mapping keyed by its field names; an omitted
     field takes the dataclass default."""
-    raw = _expect(raw, path)
     specs = _record_fields(cls)
-    _reject_unknown(raw, tuple(name for name, _, _ in specs), path)
+    raw = _mapping(raw, path, tuple(name for name, _, _ in specs))
     values = {}
     for name, read, required in specs:
         if name in raw:
@@ -142,6 +143,13 @@ def _read_record(cls: type, raw: Any, path: str) -> Any:
         elif required:
             raise ParseError(f"{path}.{name}: required field is missing")
     return cls(**values)
+
+
+def _per_state(raw: Any, path: str, read: Callable[[Any, str], Any]) -> list:
+    """One value per damaged state, minor to complete, read from a mapping
+    keyed by their names."""
+    raw = _mapping(raw, path, _DAMAGED_NAMES)
+    return [read(_get(raw, key, path), f"{path}.{key}") for key in _DAMAGED_NAMES]
 
 
 def _parse_repair_days(
@@ -153,20 +161,14 @@ def _parse_repair_days(
                 f"{path}.repair_days: required for class '{kind.value}' "
                 "(no built-in default)"
             )
-        defaults = DEFAULT_REPAIR_DAYS[kind]
-        return dict(zip(DAMAGED_STATES, defaults))
-    raw = _expect(raw, f"{path}.repair_days")
-    days: dict[DamageState, float] = {}
-    for state in DAMAGED_STATES:
-        key = state.name.lower()
-        days[state] = _number(
-            _get(raw, key, f"{path}.repair_days"), f"{path}.repair_days.{key}"
-        )
-    return days
+        return dict(zip(DAMAGED_STATES, DEFAULT_REPAIR_DAYS[kind]))
+    return dict(
+        zip(DAMAGED_STATES, _per_state(raw, f"{path}.repair_days", _number))
+    )
 
 
 def _parse_component(raw: Any, path: str) -> Component:
-    raw = _expect(raw, path)
+    raw = _mapping(raw, path, _COMPONENT_KEYS)
     kind = _lookup(
         _CLASS_NAMES, _get(raw, "class", path), f"{path}.class", "component class"
     )
@@ -180,10 +182,18 @@ def _parse_component(raw: Any, path: str) -> Component:
     )
 
 
+def _parse_curve(raw: Any, path: str) -> FragilityCurve:
+    raw = _mapping(raw, path, ("median", "beta"))
+    return FragilityCurve(
+        median_im=_number(_get(raw, "median", path), f"{path}.median"),
+        beta=_number(_get(raw, "beta", path), f"{path}.beta"),
+    )
+
+
 def _parse_hazard_entry(raw: Any, path: str) -> ComponentHazard:
-    raw = _expect(raw, path)
+    raw = _mapping(raw, path, ("fixed", "pmf", "im", "curves"))
     forms = [k for k in ("fixed", "pmf", "im") if k in raw]
-    if len(forms) != 1:
+    if len(forms) != 1 or ("curves" in raw and "im" not in raw):
         raise ParseError(
             f"{path}: give exactly one of 'fixed', 'pmf', or 'im' with 'curves'"
         )
@@ -197,30 +207,21 @@ def _parse_hazard_entry(raw: Any, path: str) -> ComponentHazard:
         values = tuple(_number(p, f"{path}.pmf[{i}]") for i, p in enumerate(pmf))
         return ComponentHazard(pmf=values)  # type: ignore[arg-type]
     im = _number(raw["im"], f"{path}.im")
-    curves_raw = _expect(_get(raw, "curves", path), f"{path}.curves")
-    curves = []
-    for state in DAMAGED_STATES:
-        key = state.name.lower()
-        at = f"{path}.curves.{key}"
-        entry = _expect(_get(curves_raw, key, f"{path}.curves"), at)
-        curves.append(FragilityCurve(
-            median_im=_number(_get(entry, "median", at), f"{at}.median"),
-            beta=_number(_get(entry, "beta", at), f"{at}.beta"),
-        ))
+    curves = _per_state(_get(raw, "curves", path), f"{path}.curves", _parse_curve)
     return ComponentHazard(fragility=FragilitySet(im=im, curves=tuple(curves)))
 
 
 def _parse_hazards(
     raw: Any, components: list[Component]
 ) -> dict[int, ComponentHazard]:
-    raw = _expect(raw if raw is not None else {}, "hazard")
+    raw = _mapping(raw if raw is not None else {}, "hazard", ("default", "components"))
     default_raw = raw.get("default")
     default = (
         _parse_hazard_entry(default_raw, "hazard.default")
         if default_raw is not None
         else None
     )
-    per_component = _expect(raw.get("components", {}), "hazard.components")
+    per_component = _mapping(raw.get("components", {}), "hazard.components", None)
     hazards: dict[int, ComponentHazard] = {}
     known_ids = {c.id for c in components}
     for key, entry in per_component.items():
@@ -241,8 +242,7 @@ _SECTIONS = ("name", "seed", "components", "edges", "cells", "retailers",
 
 
 def parse_scenario(raw: Any, source: str = "<scenario>") -> Scenario:
-    doc = _expect(raw, source)
-    _reject_unknown(doc, _SECTIONS, source)
+    doc = _mapping(raw, source, _SECTIONS)
     components_raw = _get(doc, "components", source)
     if not isinstance(components_raw, list) or not components_raw:
         raise ParseError(f"{source}.components: expected a non-empty list")

@@ -48,6 +48,7 @@ from recovery_rollout.planner import (
     RestorationCurve,
     RolloutConfig,
     RolloutMode,
+    _best_schedule,
     _continuation_tables,
     _repair_draws,
     base_action,
@@ -1057,6 +1058,25 @@ def test_oracle_guards_state_count(monkeypatch):
     monkeypatch.setattr(planner_module, "_ORACLE_MAX_STATES", 3)
     with pytest.raises(InstanceTooLarge, match="remaining-work states"):
         exhaustive_oracle(damage, community, mdp)
+
+
+@pytest.mark.parametrize("objective, lam", [
+    (Objective.MIN_TIME_TO_COVERAGE, 0.0),
+    (Objective.MAX_BENEFIT_RATE, 20_000.0),  # near episode 0's optimal rate
+])
+def test_oracle_memo_value_depends_only_on_its_key(objective, lam):
+    """The DP's memo is keyed by remaining work alone, so shifting the
+    start's elapsed time must leave every stored value and action bit for
+    bit as it was (mini_gilroy episode 0: 1,240 states)."""
+    scenario = load_scenario(str(DATA / "mini_gilroy.yaml"))
+    community = scenario.community
+    mdp = replace(scenario.mdp, objective=objective,
+                  repair_model=RepairModel.REMAINING_WORK)
+    damage = episode_damage(community, scenario.hazards, scenario.seed, 0)
+    start = initial_state(community, damage, mdp)
+    memo = _best_schedule(start, community, mdp, lam)
+    shifted = replace(start, elapsed_time=1234.567)
+    assert _best_schedule(shifted, community, mdp, lam) == memo
 
 
 @pytest.mark.parametrize("crews", [(1, 1), (2, 1)])

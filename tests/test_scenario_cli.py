@@ -194,6 +194,20 @@ def test_hazard_entry_needs_one_form():
         parse_scenario(doc)
 
 
+def test_hazard_curves_need_im():
+    doc = minimal_doc()
+    doc["hazard"]["default"] = {"fixed": "none", "curves": {}}
+    with pytest.raises(ParseError, match="exactly one"):
+        parse_scenario(doc)
+
+
+def test_component_location_is_ignored():
+    doc = minimal_doc()
+    doc["components"][0]["location"] = [3.0, 1.5]
+    plain = parse_scenario(minimal_doc())
+    assert parse_scenario(doc).community.components == plain.community.components
+
+
 def test_fragility_form_roundtrip():
     doc = minimal_doc()
     doc["hazard"]["default"] = {
@@ -245,11 +259,28 @@ def test_rollout_horizon_rejected():
     (("rollout",), "n_mc_mx", "rollout.n_mc_mx"),
     (("cells", 0), "populaton", "cells[0].populaton"),
     (("retailers", 0), "capcity", "retailers[0].capcity"),
-], ids=["top-level", "mdp", "rollout", "cell", "retailer"])
+    (("components", 0), "any_suplier", "components[0].any_suplier"),
+    (("components", 0), "repair_dayz", "components[0].repair_dayz"),
+    (("components", 3, "repair_days"), "minr",
+     "components[3].repair_days.minr"),
+    (("hazard",), "defualt", "hazard.defualt"),
+    (("hazard", "default"), "pmff", "hazard.default.pmff"),
+    (("hazard", "components", 1, "curves"), "minr",
+     "hazard.components.1.curves.minr"),
+    (("hazard", "components", 1, "curves", "minor"), "betta",
+     "hazard.components.1.curves.minor.betta"),
+], ids=["top-level", "mdp", "rollout", "cell", "retailer", "any-supplier",
+        "repair-days-key", "repair-days", "hazard", "hazard-entry", "curves",
+        "curve"])
 def test_misspelt_key_rejected(where, key, path):
     # ignored, the key would leave its field at the default
     doc = minimal_doc()
     doc["rollout"] = {}
+    doc["hazard"]["components"] = {1: {"im": 0.4, "curves": {
+        state: {"median": median, "beta": 0.5}
+        for state, median in [("minor", 0.2), ("moderate", 0.4),
+                              ("extensive", 0.7), ("complete", 1.2)]
+    }}}
     section = doc
     for step in where:
         section = section[step]
