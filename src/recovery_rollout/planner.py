@@ -629,8 +629,9 @@ _ORACLE_MAX_DAMAGED = 8
 _ORACLE_MAX_ACTIONS = 500
 # memo entries of one DP pass, about 0.6 kB each on a 20-component
 # community: mini_gilroy episode 22 (seed 7, 18 damaged, one crew per
-# network) reaches the bound after about 5 s at 94 MB peak process RSS;
-# its other episodes 0-29 take 200-78,928 states
+# network) reaches the bound after 1.6-1.8 s of CPU at 93 MB peak
+# process RSS under either objective; its other episodes 0-29 take
+# 200-78,928 states
 _ORACLE_MAX_STATES = 100_000
 
 
@@ -641,18 +642,46 @@ def _best_schedule(
     to go, its first action; None at a terminal state).  The value is
     sum w(s)*dt over the rest of the schedule, with w = -1 under the time
     objective and w = B(s) - lam under the rate objective.  Exact ties go
-    to the lexicographically largest indices."""
+    to the lexicographically largest indices.
+
+    The DP steps on work tuples and builds no RecoveryState, and no
+    RepairAction except the one stored per state.  A state is its key
+    plus the outstanding-set bitmask (bit i is component index i), whose
+    benefit is read from community._mask_benefit, as in is_terminal and
+    _base_continuation.  A network's choices are the k-subsets of its
+    outstanding components in enumerate_actions's order, or, with one crew
+    per network, its started component alone (see exhaustive_oracle).  An
+    edge is transition's arithmetic with unit 1.0: the completion is the
+    least assigned work, each assigned entry drops by it, and an entry
+    left at or below 1e-12 becomes 0.0 and leaves the set.  Each step is
+    weighted by that completion, so a stored value depends on the key
+    alone."""
     minimize = mdp.objective is Objective.MIN_TIME_TO_COVERAGE
     non_preemptive = mdp.n_e == mdp.n_w == 1
+    threshold = coverage_threshold(community, mdp)
+    population = community.total_population
+    benefits = community._mask_benefit
+    bits = community.index_bits
     full_work = start.remaining_work
+    networks = (
+        (community.epn_indices, mdp.n_e), (community.wn_indices, mdp.n_w)
+    )
     memo: dict[tuple[float, ...], tuple[float, RepairAction | None]] = {}
 
-    def solve(state: RecoveryState) -> float:
-        key = state.remaining_work
+    def benefit_of(mask: int) -> float:
+        benefit = benefits.get(mask)
+        if benefit is None:
+            benefit = benefits[mask] = benefit_for_damage(community, mask)
+        return benefit
+
+    def solve(key: tuple[float, ...], mask: int) -> float:
         hit = memo.get(key)
         if hit is not None:
             return hit[0]
-        if is_terminal(state, community, mdp):
+        if (
+            benefit_of(mask) / population >= threshold if minimize
+            else not mask
+        ):
             memo[key] = (0.0, None)
             return 0.0
         if len(memo) >= _ORACLE_MAX_STATES:
@@ -660,37 +689,39 @@ def _best_schedule(
                 f"more than {_ORACLE_MAX_STATES} remaining-work states; "
                 "the instance exceeds the oracle bound"
             )
-        weight = (
-            -1.0 if minimize
-            else benefit_for_damage_cached(community, state.damage) - lam
-        )
-        # with one crew per network, every action keeps the started
-        # components (see exhaustive_oracle)
-        started = (
-            {i for i, (w, w0) in enumerate(zip(key, full_work)) if 0.0 < w < w0}
-            if non_preemptive else set()
-        )
+        weight = -1.0 if minimize else benefit_of(mask) - lam
+        choices = []
+        for members, crews in networks:
+            outstanding = [i for i in members if mask & bits[i]]
+            # with one crew per network, that crew finishes what it
+            # started (see exhaustive_oracle)
+            started = non_preemptive and tuple(
+                i for i in outstanding if key[i] < full_work[i]
+            )
+            choices.append([started] if started else itertools.combinations(
+                outstanding, min(crews, len(outstanding))
+            ))
         best = -math.inf
-        best_action: RepairAction | None = None
-        for action in enumerate_actions(
-            state, community, mdp, cap=_ORACLE_MAX_ACTIONS
-        ):
-            if not started.issubset(action.indices):
-                continue
-            nxt, _ = transition(state, action, community, mdp, None)
-            # transition's completion under remaining work (unit 1.0), read
-            # from the key so that the stored value depends on the key alone
-            completion = min(key[i] for i in action.indices)
-            value = weight * completion + solve(nxt)
-            if value > best or (
-                value == best and action.indices > best_action.indices
-            ):
+        best_indices: tuple[int, ...] = ()
+        for e_sub, w_sub in itertools.product(*choices):
+            indices = tuple(sorted(e_sub + w_sub))
+            completion = min(key[i] for i in indices)
+            work = list(key)
+            left_mask = mask
+            for i in indices:
+                left = key[i] - completion
+                if left <= 1e-12:
+                    left = 0.0
+                    left_mask ^= bits[i]
+                work[i] = left
+            value = weight * completion + solve(tuple(work), left_mask)
+            if value > best or (value == best and indices > best_indices):
                 best = value
-                best_action = action
-        memo[key] = (best, best_action)
+                best_indices = indices
+        memo[key] = (best, RepairAction(best_indices))
         return best
 
-    solve(start)
+    solve(full_work, sum(itertools.compress(bits, start.damage)))
     return memo
 
 

@@ -1079,6 +1079,45 @@ def test_oracle_memo_value_depends_only_on_its_key(objective, lam):
     assert _best_schedule(shifted, community, mdp, lam) == memo
 
 
+# episode -> (repr of the value, first action) on mini_gilroy (seed 7),
+# taken from a DP that stepped through mdp.transition itself
+PINNED_ORACLE = {
+    Objective.MIN_TIME_TO_COVERAGE: {
+        0: ("13.2", (9, 19)),
+        3: ("6.5", (11, 18)),
+        4: ("9.5", (11, 18)),
+        7: ("7.1", (8, 18)),
+        12: ("5.8999999999999995", (7, 18)),
+        18: ("9.0", (9, 17)),
+        26: ("2.3", (4, 19)),
+    },
+    Objective.MAX_BENEFIT_RATE: {
+        0: ("22359.711262518318", (9, 17)),
+        3: ("16355.664230421038", (10, 17)),
+        4: ("10592.218265486257", (10, 18)),
+        7: ("8779.1404153571", (7, 17)),
+        12: ("21319.28135029177", (5, 15)),
+        18: ("18918.423120806077", (1, 17)),
+        26: ("38681.27566100329", (0, 18)),
+    },
+}
+
+
+@pytest.mark.parametrize("objective", list(Objective))
+def test_oracle_values_pinned_bit_for_bit(objective):
+    """The DP's step is a copy of transition's arithmetic, so its values
+    and first actions on seven mini_gilroy episodes are pinned to the
+    last bit."""
+    scenario = load_scenario(str(DATA / "mini_gilroy.yaml"))
+    community = scenario.community
+    mdp = replace(scenario.mdp, objective=objective,
+                  repair_model=RepairModel.REMAINING_WORK)
+    for ep, pinned in PINNED_ORACLE[objective].items():
+        damage = episode_damage(community, scenario.hazards, scenario.seed, ep)
+        value, first = exhaustive_oracle(damage, community, mdp)
+        assert (repr(value), first.indices) == pinned, ep
+
+
 @pytest.mark.parametrize("crews", [(1, 1), (2, 1)])
 @pytest.mark.parametrize("objective", list(Objective))
 @pytest.mark.parametrize("source", ["oracle_demo", "desk_community"])
@@ -1087,25 +1126,31 @@ def test_oracle_matches_reference_search(source, objective, crews, monkeypatch):
     depth-first search's optimum over every preemptive schedule, the
     search's best schedule that starts with the DP's first action is
     optimal too, and under the rate objective no rollout episode reads
-    above the DP's value.  With one crew per network the DP only takes
-    actions that keep every started component (0 < remaining work < its
-    work at the start)."""
+    above the DP's value.  Read from the DP's own memos: with one crew per
+    network no key holds more started components (0 < remaining work <
+    its work at the start) in a network than it has crews, and no stored
+    action drops a started component; with two electric crews both
+    happen."""
     scenario = load_scenario(str(DATA / "oracle_demo.yaml"))
     community = (
         scenario.community if source == "oracle_demo" else desk_community()
     )
     mdp = replace(scenario.mdp, objective=objective, n_e=crews[0], n_w=crews[1])
-    steps = []
-    real_transition = planner_module.transition
+    memos = []
+    real_best_schedule = planner_module._best_schedule
 
-    def recording_transition(state, action, *args):
-        steps.append((state.remaining_work, action.indices))
-        return real_transition(state, action, *args)
+    def recording_best_schedule(start, *args):
+        memo = real_best_schedule(start, *args)
+        memos.append((start.remaining_work, memo))
+        return memo
 
-    monkeypatch.setattr(planner_module, "transition", recording_transition)
+    monkeypatch.setattr(planner_module, "_best_schedule", recording_best_schedule)
+    networks = (
+        (set(community.epn_indices), mdp.n_e), (set(community.wn_indices), mdp.n_w)
+    )
     ids = [c.id for c in community.components]
     rng = np.random.default_rng(25)
-    dropped = 0
+    crowded = dropped = 0
     for i in range(26):
         while True:
             chosen = rng.choice(ids, size=1 + i % 7, replace=False)
@@ -1115,13 +1160,20 @@ def test_oracle_matches_reference_search(source, objective, crews, monkeypatch):
             start = initial_state(community, damage, mdp)
             if not is_terminal(start, community, mdp):
                 break
-        steps.clear()
+        memos.clear()
         value, first = exhaustive_oracle(damage, community, mdp)
-        dropped += sum(
-            any(0.0 < w < w0 and j not in indices
-                for j, (w, w0) in enumerate(zip(work, start.remaining_work)))
-            for work, indices in steps
-        )
+        for full_work, memo in memos:
+            for key, (_, action) in memo.items():
+                started = {
+                    j for j, (w, w0) in enumerate(zip(key, full_work))
+                    if 0.0 < w < w0
+                }
+                crowded += any(
+                    len(started & members) > crews_in
+                    for members, crews_in in networks
+                )
+                if action is not None:
+                    dropped += not started.issubset(action.indices)
         optimum, _ = reference_exhaustive_oracle(damage, community, mdp)
         assert value == pytest.approx(optimum, rel=1e-12, abs=0.0), i
         via_first, _ = reference_exhaustive_oracle(
@@ -1134,7 +1186,8 @@ def test_oracle_matches_reference_search(source, objective, crews, monkeypatch):
                 scenario.base_policy, root_seed=i,
             )
             assert result.metric(objective) <= value, i
-    # the two-crew DP also tries actions that drop started components
+    # the two-crew DP also reaches and picks schedules that preempt
+    assert (crowded == 0) == (crews == (1, 1))
     assert (dropped == 0) == (crews == (1, 1))
 
 
