@@ -141,8 +141,10 @@ class Community:
     AND-dependencies unless the dependent is an OR-junction.
 
     The cascade and the service checks work on bitmasks: `cascade` holds
-    each component's supplier bitmask in topological order, and
-    `cell_feeds` / `retailer_feeds` each one's pair of feeds.  Construction
+    each component's supplier bitmask in topological order, `links` holds
+    per component index its supplier bitmask, its any-one flag and its
+    dependents' indices (what extend_functional walks), and `cell_feeds` /
+    `retailer_feeds` each one's pair of feeds.  Construction
     raises a ValidationError naming any broken invariant; attributes are
     read-only by convention.  The benefit memo, keyed by outstanding-set
     bitmask, is a plain dict on the community, so it lives and dies with
@@ -188,15 +190,24 @@ class Community:
 
         self._validate_edges()
         supplier_bits = [0] * n
+        dependents: list[list[int]] = [[] for _ in range(n)]
         for supplier, dependent in self.edges:
-            supplier_bits[self.index_of[dependent]] |= 1 << self.index_of[supplier]
+            s, d = self.index_of[supplier], self.index_of[dependent]
+            supplier_bits[d] |= 1 << s
+            dependents[s].append(d)
+        # per component index: its suppliers' bitmask, whether one
+        # functional supplier suffices (an OR-junction with suppliers), and
+        # its dependents' indices
+        self.links: tuple[tuple[int, bool, tuple[int, ...]], ...] = tuple(
+            (supplier_bits[i],
+             self.components[i].any_supplier and bool(supplier_bits[i]),
+             tuple(dependents[i]))
+            for i in range(n)
+        )
         # the cascade in topological order: per component its bit, its
-        # suppliers' bitmask, and whether one functional supplier suffices
-        # (an OR-junction with suppliers)
+        # suppliers' bitmask and its any-one flag
         self.cascade: tuple[tuple[int, int, bool], ...] = tuple(
-            (1 << i, supplier_bits[i],
-             self.components[i].any_supplier and bool(supplier_bits[i]))
-            for i in self._toposort()
+            (1 << i, *self.links[i][:2]) for i in self._toposort(dependents)
         )
 
         self.network_of: tuple[Network, ...] = tuple(
@@ -272,14 +283,12 @@ class Community:
                     f"EPN component {supplier}"
                 )
 
-    def _toposort(self) -> tuple[int, ...]:
+    def _toposort(self, dependents: list[list[int]]) -> tuple[int, ...]:
         n = len(self.components)
         indegree = [0] * n
-        dependents: list[list[int]] = [[] for _ in range(n)]
-        for supplier, dependent in self.edges:
-            s, d = self.index_of[supplier], self.index_of[dependent]
-            indegree[d] += 1
-            dependents[s].append(d)
+        for ds in dependents:
+            for d in ds:
+                indegree[d] += 1
         frontier = sorted(i for i in range(n) if indegree[i] == 0)
         order: list[int] = []
         while frontier:
@@ -332,6 +341,36 @@ def functional_mask(community: Community, outstanding: int) -> int:
     return functional
 
 
+def extend_functional(
+    community: Community, outstanding: int, functional: int, repaired: int
+) -> int:
+    """functional_mask(community, outstanding), grown from `functional`,
+    the functional set of `outstanding | repaired`, where `repaired` is the
+    bitmask of the components repaired since.  A repair only ever switches
+    components on, so only the repaired components and what depends on
+    them are tested: a stack starts with the repaired indices, and a
+    candidate that is not outstanding and whose suppliers pass joins the
+    set and pushes its dependents.  The functional set of an acyclic graph
+    is a unique fixed point, so the result equals the full pass."""
+    links = community.links
+    stack = []
+    while repaired:
+        low = repaired & -repaired
+        stack.append(low.bit_length() - 1)
+        repaired ^= low
+    while stack:
+        i = stack.pop()
+        bit = 1 << i
+        if (functional | outstanding) & bit:
+            continue
+        suppliers, any_one, dependents = links[i]
+        up = functional & suppliers
+        if up if any_one else up == suppliers:
+            functional |= bit
+            stack.extend(dependents)
+    return functional
+
+
 def gravity_weights(community: Community) -> tuple[tuple[float, ...], ...]:
     """Cell-by-retailer shopping weights: capacity times inverse-power
     distance, normalized so each row sums to one."""
@@ -366,8 +405,14 @@ def gravity_weights(community: Community) -> tuple[tuple[float, ...], ...]:
 
 def benefit_for_damage(community: Community, outstanding: int) -> float:
     """Benefit count of the outstanding-set bitmask `outstanding`, uncached:
-    the miss path of the mask-keyed benefit memo."""
-    functional = functional_mask(community, outstanding)
+    the served benefit of its functional set by one full cascade pass."""
+    return served_benefit(community, functional_mask(community, outstanding))
+
+
+def served_benefit(community: Community, functional: int) -> float:
+    """Benefit count of the functional set `functional` (a bitmask): each
+    cell with both feeds functional contributes its population times its
+    gravity weights summed over the retailers with both feeds functional."""
     ret_ok = [functional & feeds == feeds for feeds in community.retailer_feeds]
     if not any(ret_ok):
         return 0.0

@@ -26,7 +26,9 @@ from .community import (
     Network,
     benefit_for_damage,
     benefit_for_damage_cached,
+    extend_functional,
     functional_mask,
+    served_benefit,
 )
 from .errors import InstanceTooLarge, TerminalState, ValidationError
 from .hazard import ComponentHazard, sample_initial_damage
@@ -87,7 +89,7 @@ _WN_CLASSES = frozenset(c for c in ComponentClass if c.network is Network.WN)
 @dataclass(frozen=True)
 class PriorityBasePolicy:
     """Fixed expert ordering over component classes; within a class, lower
-    component id first.  _continuation_tables states it, _base_picks walks it."""
+    component id first.  _base_order states it, _base_picks walks it."""
 
     epn_priority: tuple[ComponentClass, ...] = (
         ComponentClass.TRANSMISSION_SEGMENT,
@@ -118,9 +120,9 @@ def base_action(
     config: MdpConfig,
     policy: PriorityBasePolicy,
 ) -> RepairAction:
-    """The base policy at `state`: _base_picks on the state's
-    _continuation_tables, as ascending indices.  Nothing is kept."""
-    mask, networks, _ = _continuation_tables(state, policy, config, community)
+    """The base policy at `state`: _base_picks on the state's _base_order,
+    as ascending indices.  Nothing is kept."""
+    mask, networks = _base_order(state, policy, config, community)
     if not mask:
         raise TerminalState("no damaged components; no base action exists")
     return RepairAction(tuple(sorted(i for _, i, _ in _base_picks(mask, networks))))
@@ -170,23 +172,20 @@ class DecisionRecord:
     estimates: tuple[tuple[RepairAction, QEstimate], ...]
 
 
-def _continuation_tables(
+def _base_order(
     state: RecoveryState,
     base_policy: PriorityBasePolicy,
     mdp: MdpConfig,
     community: Community,
 ) -> tuple:
-    """What the base-policy continuation from `state` reads, built once per
-    decision: the outstanding set as a bitmask (bit i is component index
-    i); per network its crew count and its outstanding components as (bit,
-    index, m), m being transition's unit of work: the repair mean, or 1.0
-    under remaining work; and an empty picks memo that _base_continuation
-    fills.  The lists are the one statement of the base policy's order:
-    the policy's classes in priority order, then ascending index (that is,
-    ascending id) within a class.  Levels only ever drop to NONE inside an
-    episode, so the units and the memoized picks stay valid for every
-    state the continuation reaches, and the memo lives as long as the
-    tables."""
+    """The base policy's order at `state`: the outstanding set as a bitmask
+    (bit i is component index i), and per network its crew count and its
+    outstanding components as (bit, index, m), m being transition's unit
+    of work: the repair mean, or 1.0 under remaining work.  The lists are
+    the one statement of the base policy's order: the policy's classes in
+    priority order, then ascending index (that is, ascending id) within a
+    class.  Levels only ever drop to NONE inside an episode, so the units
+    stay valid for every state reached from `state`."""
     damage = state.damage
     repair_means = community.repair_means
     unit = mdp.repair_model is RepairModel.REMAINING_WORK
@@ -197,7 +196,23 @@ def _continuation_tables(
         for order in (base_policy.epn_priority, base_policy.wn_priority)
     )
     mask = sum(itertools.compress(community.index_bits, damage))
-    return mask, ((epn, mdp.n_e), (wn, mdp.n_w)), {}
+    return mask, ((epn, mdp.n_e), (wn, mdp.n_w))
+
+
+def _continuation_tables(
+    state: RecoveryState,
+    base_policy: PriorityBasePolicy,
+    mdp: MdpConfig,
+    community: Community,
+) -> tuple:
+    """What the base-policy continuation from `state` reads, built once per
+    decision: _base_order's outstanding-set bitmask and per-network lists;
+    an empty picks memo that _base_continuation fills, valid for every
+    state the continuation reaches and living as long as the tables; and
+    the root functional set, functional_mask of that bitmask, from which
+    every trajectory's functional sets are grown."""
+    mask, networks = _base_order(state, base_policy, mdp, community)
+    return mask, networks, {}, functional_mask(community, mask)
 
 
 def _base_picks(mask: int, networks: tuple) -> tuple:
@@ -235,8 +250,13 @@ def _base_continuation(
     tuple to itself so that sets with the same picks share one tuple; the
     priority lists are scanned only on a miss.  Benefits are memoized by
     mask in community._mask_benefit, which outlives the decision and is
-    shared with benefit_for_damage_cached, so the two memos stay apart."""
-    _, networks, picks_memo = tables
+    shared with benefit_for_damage_cached, so the two memos stay apart.  A
+    benefit miss is filled from the last functional set known on the
+    trajectory, at first the tables' root set: every later mask is a
+    subset of the known one, so extend_functional grows the known set from
+    the components repaired since, served_benefit reads the benefit off
+    it, and the set becomes the new known one.  A hit does no such work."""
+    known, networks, picks_memo, functional = tables
     gamma = mdp.gamma
     rate = mdp.objective is Objective.MAX_BENEFIT_RATE
     threshold = coverage_threshold(community, mdp)
@@ -262,7 +282,11 @@ def _base_continuation(
         elapsed += completion
         benefit = memo.get(mask)
         if benefit is None:
-            benefit = memo[mask] = benefit_for_damage(community, mask)
+            functional = extend_functional(
+                community, mask, functional, known ^ mask
+            )
+            known = mask
+            benefit = memo[mask] = served_benefit(community, functional)
         disc *= gamma
         if rate:
             total += disc * (benefit / elapsed)

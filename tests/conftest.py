@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,9 +43,12 @@ from recovery_rollout.mdp import (
 )
 from recovery_rollout.planner import (
     PriorityBasePolicy,
+    _base_order,
     _base_picks,
-    _continuation_tables,
 )
+from recovery_rollout.scenario import Scenario, load_scenario
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 PIPE_DAYS = {
     DamageState.MINOR: 0.5,
@@ -328,13 +332,13 @@ def exact_base_q(
         V(m) = -1/Lam + gamma * sum_i (lam_i/Lam) * V(m without i),
     with V = 0 once benefit/population reaches coverage_threshold.  Q is
     the same formula with action's indices as the picks.  The picks come
-    from _continuation_tables and _base_picks, as in the Monte-Carlo
-    continuation and base_action."""
+    from _base_order and _base_picks, as in the Monte-Carlo continuation
+    and base_action."""
     if (mdp.objective is not Objective.MIN_TIME_TO_COVERAGE
             or mdp.repair_model is not RepairModel.EXPONENTIAL):
         raise ValidationError("the chain covers the time objective under "
                               "exponential repairs")
-    mask, networks, _ = _continuation_tables(state, base_policy, mdp, community)
+    mask, networks = _base_order(state, base_policy, mdp, community)
     unit = {i: m for order, _ in networks for _, i, m in order}
     threshold = coverage_threshold(community, mdp)
     values: dict[int, float] = {}
@@ -470,3 +474,15 @@ def count_mask_calls(monkeypatch):
 
     return start
 
+
+@pytest.fixture
+def two_tiles(tmp_path, monkeypatch) -> Scenario:
+    """mini_gilroy tiled twice side by side (40 components, two crews per
+    network) by the grid-large workload's generator, loaded through
+    load_scenario."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    from workloads import tiled_scenario_text
+
+    path = tmp_path / "two_tiles.yaml"
+    path.write_text(tiled_scenario_text(tiles=2))
+    return load_scenario(str(path))

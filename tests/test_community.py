@@ -20,6 +20,7 @@ from recovery_rollout.community import (
     Retailer,
     benefit_for_damage,
     benefit_for_damage_cached,
+    extend_functional,
     functional_mask,
     gravity_weights,
 )
@@ -397,6 +398,59 @@ def test_functional_set_matches_iterative_removal(seed):
     assert functional_set(community, damage) == iterative_removal_oracle(
         community, damage
     )
+
+
+def walk_repairs(community, rng, walks):
+    """Random monotone repair walks: from a random outstanding set, repair
+    one to three random outstanding components at a time until none is
+    left.  At every step the set extend_functional grows from the previous
+    one equals functional_mask and the iterative-removal oracle.  Returns
+    the number of steps that repaired a component which stayed off, its
+    supply still outstanding."""
+    n = community.n_components
+    dead_repairs = 0
+    for _ in range(walks):
+        p = rng.random()
+        outstanding = sum(1 << i for i in range(n) if rng.random() < p)
+        functional = functional_mask(community, outstanding)
+        while outstanding:
+            bits = [i for i in range(n) if outstanding >> i & 1]
+            size = min(len(bits), int(rng.integers(1, 4)))
+            repaired = sum(1 << int(i) for i in rng.choice(bits, size, replace=False))
+            outstanding ^= repaired
+            functional = extend_functional(
+                community, outstanding, functional, repaired
+            )
+            assert functional == functional_mask(community, outstanding)
+            damage = tuple(DamageState.MINOR if outstanding >> i & 1 else N
+                           for i in range(n))
+            assert frozenset(
+                c.id for i, c in enumerate(community.components)
+                if functional >> i & 1
+            ) == iterative_removal_oracle(community, damage)
+            dead_repairs += bool(repaired & ~functional)
+    return dead_repairs
+
+
+def test_extend_functional_matches_full_pass_on_random_dags():
+    rng = np.random.default_rng(38)
+    dead_repairs = or_junctions = 0
+    for _ in range(30):
+        community = random_dag_community(rng, max_nodes=20)
+        or_junctions += sum(c.any_supplier for c in community.components)
+        dead_repairs += walk_repairs(community, rng, 4)
+    assert or_junctions > 0
+    assert dead_repairs > 0
+
+
+def test_extend_functional_matches_full_pass_on_tiled_mini_gilroy(two_tiles):
+    mini = load_scenario(
+        str(Path(recovery_rollout.__file__).parent / "data" / "mini_gilroy.yaml")
+    ).community
+    rng = np.random.default_rng(39)
+    for community in (mini, two_tiles.community):
+        assert any(c.any_supplier for c in community.components)
+        assert walk_repairs(community, rng, 10) > 0
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))

@@ -21,6 +21,7 @@ from recovery_rollout.community import (
     DamageState,
     GridCell,
     Retailer,
+    benefit_for_damage,
     benefit_for_damage_cached,
 )
 from recovery_rollout.errors import (
@@ -1345,6 +1346,45 @@ def test_cached_benefit_reads_continuation_memo(count_mask_calls):
             community._mask_benefit[mask]
         )
     assert calls[0] == 0
+
+
+def test_continuation_memo_holds_the_uncached_benefit(two_tiles, monkeypatch):
+    """One rollout decision on two tiles of mini_gilroy from a cold memo,
+    under the rate objective so trajectories run to full repair: every
+    benefit the continuation grew from its carried functional set equals
+    benefit_for_damage's full pass, bit for bit.  Through the planner's
+    module globals the decision calls functional_mask once, for the
+    tables' root set, and benefit_for_damage never."""
+    community = two_tiles.community
+    mdp = replace(two_tiles.mdp, objective=Objective.MAX_BENEFIT_RATE)
+    state = initial_state(
+        community,
+        episode_damage(community, two_tiles.hazards, two_tiles.seed, 0),
+        mdp,
+    )
+    assert not is_terminal(state, community, mdp)
+    community._mask_benefit.clear()
+    calls = {"functional_mask": 0, "benefit_for_damage": 0}
+
+    def counted(name):
+        real = getattr(planner_module, name)
+
+        def count(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return count
+
+    for name in calls:
+        monkeypatch.setattr(planner_module, name, counted(name))
+    config = RolloutConfig(n_mc_min=8, n_mc_max=8, action_cap=8)
+    _, record = rollout_decision(state, BASE, config, mdp, community,
+                                 root_seed=two_tiles.seed)
+    assert len(record.estimates) > 1
+    assert calls == {"functional_mask": 1, "benefit_for_damage": 0}
+    assert len(community._mask_benefit) > 50
+    for mask, benefit in community._mask_benefit.items():
+        assert benefit == benefit_for_damage(community, mask), mask
 
 
 def test_planner_keeps_no_community_alive():
