@@ -5,9 +5,9 @@ and water (WN) components.  A component is functional when it is undamaged
 and its suppliers are functional; service to grid cells and retailers is
 read off the functional set, and the benefitted-population count weights
 cells onto retailers with a gravity model.  Sets of components are int
-bitmasks over component indices (bit i is index i): the cascade maps the
-outstanding set to the functional set, and the benefit is a function of
-the outstanding set alone.
+bitmasks over component indices (bit i is index i): one worklist,
+extend_functional, maps the outstanding set to the functional set, and the
+benefit is a function of the outstanding set alone.
 """
 
 from __future__ import annotations
@@ -140,11 +140,14 @@ class Community:
     simulation.  Edges run supplier -> dependent and are hard
     AND-dependencies unless the dependent is an OR-junction.
 
-    The cascade and the service checks work on bitmasks: `cascade` holds
-    each component's supplier bitmask in topological order, `links` holds
-    per component index its supplier bitmask, its any-one flag and its
-    dependents' indices (what extend_functional walks), and `cell_feeds` /
-    `retailer_feeds` each one's pair of feeds.  Construction
+    The functional set and the service checks work on bitmasks: `links`
+    holds per component index its bit, its supplier bitmask, its any-one
+    flag and its dependents' indices (what extend_functional walks), and
+    `cell_feeds` / `retailer_feeds` each one's pair of feeds.  `roots`
+    holds the components with no suppliers, OR-junctions too.  With all of
+    them outstanding nothing is functional, for in an acyclic graph each
+    functional component leads back through functional suppliers to one of
+    them; so functional_mask grows the set from the empty one.  Construction
     raises a ValidationError naming any broken invariant; attributes are
     read-only by convention.  The benefit memo, keyed by outstanding-set
     bitmask, is a plain dict on the community, so it lives and dies with
@@ -195,20 +198,17 @@ class Community:
             s, d = self.index_of[supplier], self.index_of[dependent]
             supplier_bits[d] |= 1 << s
             dependents[s].append(d)
-        # per component index: its suppliers' bitmask, whether one
+        self._check_acyclic(dependents)
+        # per component index: its bit, its suppliers' bitmask, whether one
         # functional supplier suffices (an OR-junction with suppliers), and
         # its dependents' indices
-        self.links: tuple[tuple[int, bool, tuple[int, ...]], ...] = tuple(
-            (supplier_bits[i],
+        self.links: tuple[tuple[int, int, bool, tuple[int, ...]], ...] = tuple(
+            (1 << i, supplier_bits[i],
              self.components[i].any_supplier and bool(supplier_bits[i]),
              tuple(dependents[i]))
             for i in range(n)
         )
-        # the cascade in topological order: per component its bit, its
-        # suppliers' bitmask and its any-one flag
-        self.cascade: tuple[tuple[int, int, bool], ...] = tuple(
-            (1 << i, *self.links[i][:2]) for i in self._toposort(dependents)
-        )
+        self.roots: int = sum(1 << i for i in range(n) if not supplier_bits[i])
 
         self.network_of: tuple[Network, ...] = tuple(
             c.network for c in self.components
@@ -283,25 +283,26 @@ class Community:
                     f"EPN component {supplier}"
                 )
 
-    def _toposort(self, dependents: list[list[int]]) -> tuple[int, ...]:
-        n = len(self.components)
-        indegree = [0] * n
+    def _check_acyclic(self, dependents: list[list[int]]) -> None:
+        """Raise a ValidationError naming the components on or between
+        dependency cycles, if any: peel off each component whose suppliers
+        are all peeled, then each stuck one with no stuck dependent."""
+        indegree = [0] * len(dependents)
         for ds in dependents:
             for d in ds:
                 indegree[d] += 1
-        frontier = sorted(i for i in range(n) if indegree[i] == 0)
-        order: list[int] = []
-        while frontier:
-            i = frontier.pop(0)
-            order.append(i)
-            for d in dependents[i]:
+        stack = [i for i, k in enumerate(indegree) if not k]
+        while stack:
+            for d in dependents[stack.pop()]:
                 indegree[d] -= 1
-                if indegree[d] == 0:
-                    frontier.append(d)
-        if len(order) != n:
-            stuck = sorted(self.components[i].id for i in range(n) if indegree[i] > 0)
-            raise ValidationError(f"dependency cycle through components {stuck}")
-        return tuple(order)
+                if not indegree[d]:
+                    stack.append(d)
+        stuck = {i for i, k in enumerate(indegree) if k}
+        while sinks := {i for i in stuck if stuck.isdisjoint(dependents[i])}:
+            stuck -= sinks
+        if stuck:
+            ids = sorted(self.components[i].id for i in stuck)
+            raise ValidationError(f"dependency cycle through components {ids}")
 
     def _validate_feeds(self) -> None:
         for cell in self.cells:
@@ -329,16 +330,10 @@ def functional_mask(community: Community, outstanding: int) -> int:
     when the components in the bitmask `outstanding` await repair: each is
     functional when not outstanding and all (or, for an OR-junction, at
     least one) of its suppliers are functional; one with no suppliers works
-    once repaired.  Well defined because the graph is acyclic; computed in
-    one topological pass."""
-    functional = 0
-    for bit, suppliers, any_one in community.cascade:
-        if outstanding & bit:
-            continue
-        up = functional & suppliers
-        if up if any_one else up == suppliers:
-            functional |= bit
-    return functional
+    once repaired.  Well defined because the graph is acyclic; grown by
+    extend_functional from the empty set of `outstanding | roots`."""
+    roots = community.roots
+    return extend_functional(community, outstanding, 0, roots & ~outstanding)
 
 
 def extend_functional(
@@ -351,7 +346,7 @@ def extend_functional(
     them are tested: a stack starts with the repaired indices, and a
     candidate that is not outstanding and whose suppliers pass joins the
     set and pushes its dependents.  The functional set of an acyclic graph
-    is a unique fixed point, so the result equals the full pass."""
+    is a unique fixed point, so the result is the same in any order."""
     links = community.links
     stack = []
     while repaired:
@@ -359,11 +354,9 @@ def extend_functional(
         stack.append(low.bit_length() - 1)
         repaired ^= low
     while stack:
-        i = stack.pop()
-        bit = 1 << i
+        bit, suppliers, any_one, dependents = links[stack.pop()]
         if (functional | outstanding) & bit:
             continue
-        suppliers, any_one, dependents = links[i]
         up = functional & suppliers
         if up if any_one else up == suppliers:
             functional |= bit
@@ -405,7 +398,7 @@ def gravity_weights(community: Community) -> tuple[tuple[float, ...], ...]:
 
 def benefit_for_damage(community: Community, outstanding: int) -> float:
     """Benefit count of the outstanding-set bitmask `outstanding`, uncached:
-    the served benefit of its functional set by one full cascade pass."""
+    the served benefit of its functional set, computed afresh."""
     return served_benefit(community, functional_mask(community, outstanding))
 
 

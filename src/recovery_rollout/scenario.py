@@ -20,6 +20,7 @@ from dataclasses import MISSING, dataclass, fields
 from typing import Any, Callable, get_type_hints
 
 import yaml
+from yaml.constructor import ConstructorError
 
 from .community import (
     DAMAGED_STATES,
@@ -309,12 +310,34 @@ def parse_scenario(raw: Any, source: str = "<scenario>") -> Scenario:
     )
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """SafeLoader that refuses a key repeated in one mapping, where plain
+    YAML keeps the last value silently.  Keys taken from a `<<` merge may
+    still be overridden."""
+
+    def construct_mapping(self, node: yaml.Node, deep: bool = False) -> dict:
+        if isinstance(node, yaml.MappingNode):
+            seen = set()
+            for key_node, _ in node.value:
+                scalar = isinstance(key_node, yaml.ScalarNode)
+                if not scalar or key_node.tag == "tag:yaml.org,2002:merge":
+                    continue  # super() rejects an unhashable key
+                key = self.construct_object(key_node, deep=deep)
+                if key in seen:
+                    line = key_node.start_mark.line + 1
+                    raise ConstructorError(
+                        problem=f"repeated key {key!r} on line {line}"
+                    )
+                seen.add(key)
+        return super().construct_mapping(node, deep=deep)
+
+
 def load_scenario(path: str) -> Scenario:
     """Read and fully validate a scenario file."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
         raise ParseError(f"{path}: not valid YAML ({exc})") from exc
     return parse_scenario(raw, source=path)

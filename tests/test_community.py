@@ -40,6 +40,7 @@ from conftest import (
     two_utility_community,
 )
 
+MINI = str(Path(recovery_rollout.__file__).parent / "data" / "mini_gilroy.yaml")
 N = DamageState.NONE
 EXT = DamageState.EXTENSIVE
 COMP = DamageState.COMPLETE
@@ -349,9 +350,7 @@ def assert_benefit_matches_reference(community, rng, n_sets):
 
 
 def test_benefit_matches_set_reference_on_mini_gilroy():
-    community = load_scenario(
-        str(Path(recovery_rollout.__file__).parent / "data" / "mini_gilroy.yaml")
-    ).community
+    community = load_scenario(MINI).community
     assert any(c.any_supplier for c in community.components)
     assert_benefit_matches_reference(community, np.random.default_rng(0), 1000)
 
@@ -444,13 +443,53 @@ def test_extend_functional_matches_full_pass_on_random_dags():
 
 
 def test_extend_functional_matches_full_pass_on_tiled_mini_gilroy(two_tiles):
-    mini = load_scenario(
-        str(Path(recovery_rollout.__file__).parent / "data" / "mini_gilroy.yaml")
-    ).community
+    mini = load_scenario(MINI).community
     rng = np.random.default_rng(39)
     for community in (mini, two_tiles.community):
         assert any(c.any_supplier for c in community.components)
         assert walk_repairs(community, rng, 10) > 0
+
+
+def supplier_less_community() -> Community:
+    """Roots of every kind: substation 1, OR-junction 2 and distribution
+    segment 3 have no suppliers; OR-junction 4 takes 1 or 2, segment 5
+    needs 3 and 4 and powers well 6 -> pipeline 7."""
+    dist = ComponentClass.DISTRIBUTION_SEGMENT
+    components = [
+        comp(1, ComponentClass.SUBSTATION),
+        comp(2, dist, any_supplier=True),
+        comp(3, dist),
+        comp(4, dist, any_supplier=True),
+        comp(5, dist),
+        comp(6, ComponentClass.WELL),
+        comp(7, ComponentClass.PIPELINE),
+    ]
+    edges = [(1, 4), (2, 4), (3, 5), (4, 5), (5, 6), (6, 7)]
+    cells = [GridCell(id=1, population=10, centroid=(1.0, 0.0), power_feed=5,
+                      water_feed=7)]
+    retailers = [Retailer(id=1, capacity=5.0, centroid=(0.0, 1.0), power_feed=5,
+                          water_feed=7)]
+    return Community(components, edges, cells, retailers)
+
+
+def test_functional_mask_grows_from_the_roots(desk, two_tiles):
+    """functional_mask seeds its worklist with the roots not outstanding,
+    so it must match the iterative-removal oracle with none, all, exactly
+    the roots, and all but the roots outstanding; supplier-less
+    OR-junctions and distribution segments are roots too."""
+    mini = load_scenario(MINI).community
+    hand_built = supplier_less_community()
+    assert hand_built.roots == 0b111
+    for community in (desk, mini, two_tiles.community, hand_built):
+        n = community.n_components
+        everything = (1 << n) - 1
+        roots = community.roots
+        for outstanding in (0, everything, roots, everything & ~roots):
+            damage = tuple(DamageState.MINOR if outstanding >> i & 1 else N
+                           for i in range(n))
+            assert functional_set(community, damage) == iterative_removal_oracle(
+                community, damage
+            )
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))

@@ -535,6 +535,8 @@ def _zero_population(doc: dict) -> None:
 BROKEN_SCENARIOS = {
     "cycle": ("sample-damage", _add_edge(7, 5),
               "dependency cycle through components [5, 6, 7]"),
+    "cycle-with-dependents": ("sample-damage", _add_edge(4, 1),
+                              "dependency cycle through components [1, 2, 4]"),
     "edge-to-unknown-id": (
         "sample-damage", _add_edge(1, 99),
         "dependency edge (1 -> 99) references unknown component 99"),
@@ -624,6 +626,41 @@ def test_broken_scenario_exits_1_naming_its_fault(row, tmp_path, capsys):
     code = main([command, "--scenario", str(broken), "--out", str(tmp_path / "out")])
     assert code == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# one row per repeated-key kind: (edit of oracle_demo.yaml's text, the key
+# and its line as the error names them)
+REPEATED_KEYS = {
+    "top-level-section": (lambda text: text + "rollout:\n  mode: worst\n",
+                          "'rollout' on line 57"),
+    "mdp-n_e": (lambda text: text.replace("  n_e: 1\n", "  n_e: 1\n  n_e: 3\n"),
+                "'n_e' on line 45"),
+    "hazard-id": (lambda text: text.replace(
+        "    1: {fixed: extensive}\n",
+        "    1: {fixed: extensive}\n    1: {fixed: none}\n"), "1 on line 38"),
+}
+
+
+@pytest.mark.parametrize("row", list(REPEATED_KEYS), ids=list(REPEATED_KEYS))
+def test_repeated_key_exits_1_naming_it(row, tmp_path, capsys):
+    edit, where = REPEATED_KEYS[row]
+    text = Path(DEMO).read_text(encoding="utf-8")
+    repeated = tmp_path / "repeated.yaml"
+    repeated.write_text(edit(text), encoding="utf-8")
+    assert main(["sample-damage", "--scenario", str(repeated)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {repeated}: not valid YAML (repeated key {where})\n"
+    )
+
+
+def test_merged_key_may_be_overridden(tmp_path):
+    text = Path(DEMO).read_text(encoding="utf-8")
+    merged = tmp_path / "merged.yaml"
+    merged.write_text(
+        text.replace("mdp:\n  n_e: 1\n", "mdp:\n  <<: {n_e: 3}\n  n_e: 2\n"),
+        encoding="utf-8",
+    )
+    assert load_scenario(str(merged)).mdp.n_e == 2
 
 
 @pytest.mark.parametrize("command", ["sample-damage", "oracle-check"])
